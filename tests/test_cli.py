@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glattice.cli import ConfigError, ExperimentConfig, closed_form_reference, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, name="config.json", **entries):
@@ -180,3 +183,9 @@ class TestDeterminism:
         verdicts_a = [line.split(",")[-1] for line in open(a).read().splitlines()[1:]]
         verdicts_b = [line.split(",")[-1] for line in open(b).read().splitlines()[1:]]
         assert verdicts_a == verdicts_b
+
+    @pytest.mark.parametrize("name", ["conjugate", "converge", "penalty", "price", "props"])
+    def test_sample_configs_match_golden_csv(self, name, tmp_path, capsys):
+        out = tmp_path / f"{name}.csv"
+        assert main([name, "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()
