@@ -9,26 +9,11 @@ first-order decay in the step count.  Writes a CSV next to the table when
 import argparse
 import math
 
-import numpy as np
-
 import glattice as gl
+from glattice.cli import ExperimentConfig, closed_form_reference
 
-
-def normal_cdf(x):
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-def closed_forms(horizon):
-    gamma, kappa = 1.0, 0.5
-    return [
-        ("entropic:1 / brownian", gl.entropic(gamma, radius=4.0), lambda x: x,
-         -gamma * horizon / 2.0),
-        ("abs:0.5 / brownian", gl.abs_scaled(kappa), lambda x: x, -kappa * horizon),
-        ("entropic:1 / abs_brownian", gl.entropic(gamma, radius=4.0), np.abs,
-         -(math.log(2.0) + gamma**2 * horizon / 2.0
-           + math.log(normal_cdf(-gamma * math.sqrt(horizon)))) / gamma),
-        ("zero / abs_brownian", gl.zero(), np.abs, math.sqrt(2.0 * horizon / math.pi)),
-    ]
+FIXTURES = [("entropic:1", "brownian"), ("abs:0.5", "brownian"),
+            ("entropic:1", "abs_brownian"), ("zero", "abs_brownian")]
 
 
 def main():
@@ -41,11 +26,16 @@ def main():
 
     rows = []
     print(f"{'fixture':<28} " + " ".join(f"N={n:<8}" for n in args.steps) + " rate")
-    for label, driver, payoff, reference in closed_forms(args.horizon):
+    for driver_spec, claim_spec in FIXTURES:
+        label = f"{driver_spec} / {claim_spec}"
+        config = ExperimentConfig.from_dict({"driver": driver_spec, "claim": claim_spec,
+                                             "grid": {"horizon": args.horizon}})
+        reference = closed_form_reference(config)
+        driver = config.build_driver()
         errors = []
         for steps in args.steps:
-            lattice = gl.build_grid(args.horizon, steps)
-            value = float(gl.utility(driver, gl.terminal_field(lattice, payoff), 0)[0][0])
+            lattice = config.build_lattice(steps)
+            value = float(gl.utility(driver, config.build_claim(lattice), 0)[0][0])
             errors.append(abs(value - reference))
         rate = float("nan")
         if errors[0] > 1e-13 and errors[-1] > 1e-13:

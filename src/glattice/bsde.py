@@ -36,8 +36,9 @@ class ValidityRadiusError(ValueError):
 class BsdeSolution:
     """Value field y over steps 0..t and the derived increment field z over 0..t-1.
 
-    At every node y_k = (y_up + y_down)/2 + g(t_k, z_k) dt with
-    z_k = (y_up - y_down) / (2 sqrt(dt)); the terminal step reproduces the claim.
+    At every node y_k = (y_up + y_down)/2 + s g(t_k, s z_k) dt with
+    z_k = (y_up - y_down) / (2 sqrt(dt)), s = +1 for `solve` and s = -1 for
+    `utility_solution`; the terminal step reproduces the claim.
     """
 
     y: AdaptedField
@@ -45,61 +46,70 @@ class BsdeSolution:
     driver: Driver
 
 
-def solve(driver: Driver, terminal: AdaptedField, *, check_radius: bool = True) -> BsdeSolution:
-    """Backward sweep from a single-step terminal claim down to step 0."""
-    if terminal.start != terminal.stop:
-        raise ValueError("terminal claim must live at a single step")
-    lattice = terminal.lattice
-    t_step = terminal.start
-    vec = terminal[t_step]
-    if not np.all(np.isfinite(vec)):
-        bad = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise ValueError(f"terminal claim not essentially bounded: non-finite value at "
-                         f"{NodeId(t_step, bad)}")
+def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: bool = True,
+                zs: list[np.ndarray] | None = None):
+    """The sweep step y_k = mean + sign * g(t_k, sign * z_k) dt; z_k goes to `zs`, last first.
 
-    sdt = lattice.sqrt_dt
-    ys: list[np.ndarray] = [None] * (t_step + 1)
-    zs: list[np.ndarray] = [None] * t_step
-    ys[t_step] = vec.copy()
-    for k in reversed(range(t_step)):
-        down, up = lattice.child_values(ys[k + 1])
-        z = (up - down) / (2.0 * sdt)
+    sign = +1 is the g-expectation, sign = -1 the utility -E_g(-claim) stepped on
+    the claim itself: negation is exact, so this is negate-solve-negate bit for
+    bit.  A radius breach reports the z handed to the driver.
+    """
+    sdt2 = 2.0 * lattice.sqrt_dt
+    scale = sign * lattice.dt
+
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        z = (up - down) / sdt2
+        arg = z if sign > 0 else -z
         if check_radius and np.any(np.abs(z) > driver.validity_radius):
             idx = int(np.argmax(np.abs(z)))
-            raise ValidityRadiusError(NodeId(k, idx), float(z[idx]), driver.validity_radius)
-        ys[k] = (up + down) / 2.0 + np.asarray(driver(lattice.grid.time(k), z), dtype=float) * lattice.dt
-        zs[k] = z
-    z_field = AdaptedField(lattice, zs, start=0) if zs else None
-    return BsdeSolution(y=AdaptedField(lattice, ys, start=0), z=z_field, driver=driver)
+            raise ValidityRadiusError(NodeId(k, idx), float(arg[idx]), driver.validity_radius)
+        if zs is not None:
+            zs.append(z)
+        return (up + down) / 2.0 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
+
+    return step
+
+
+def _solution(driver: Driver, terminal: AdaptedField, sign: float, check_radius: bool) -> BsdeSolution:
+    lattice = terminal.lattice
+    zs: list[np.ndarray] = []
+    step = driver_step(driver, lattice, sign, check_radius=check_radius, zs=zs)
+    ys = [y for _, y in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
+    z_field = AdaptedField(lattice, zs[::-1], start=0) if zs else None
+    return BsdeSolution(y=AdaptedField(lattice, ys[::-1], start=0), z=z_field, driver=driver)
+
+
+def _value_at(driver: Driver, terminal: AdaptedField, sign: float, step: int) -> AdaptedField:
+    """One step of the solution, swept down to that step only."""
+    if not 0 <= step <= terminal.start:
+        raise ValueError(f"step {step} outside [0, {terminal.start}]")
+    lattice = terminal.lattice
+    sweep = lattice.sweep(terminal.start, terminal.bounded_values().copy(),
+                          driver_step(driver, lattice, sign))
+    return AdaptedField(lattice, [next(y for k, y in sweep if k == step)], start=step)
+
+
+def solve(driver: Driver, terminal: AdaptedField, *, check_radius: bool = True) -> BsdeSolution:
+    """Backward sweep from a single-step terminal claim down to step 0."""
+    return _solution(driver, terminal, 1.0, check_radius)
 
 
 def g_expectation(driver: Driver, terminal: AdaptedField) -> float:
     """Root value of the backward solution: the nonlinear expectation of the claim."""
-    return float(solve(driver, terminal).y[0][0])
+    return float(_value_at(driver, terminal, 1.0, 0)[0][0])
 
 
 def conditional_g_expectation(driver: Driver, terminal: AdaptedField, step: int) -> AdaptedField:
-    if step == terminal.start:
-        return terminal.single(step)
-    return solve(driver, terminal).y.single(step)
+    return _value_at(driver, terminal, 1.0, step)
 
 
 def utility_solution(driver: Driver, terminal: AdaptedField) -> BsdeSolution:
-    """Concave utility process u = -E_g(-claim | .) over all steps."""
-    lattice = terminal.lattice
-    negated = AdaptedField(lattice, [-terminal[terminal.start]], start=terminal.start)
-    sol = solve(driver, negated)
-    y = AdaptedField(lattice, [-v for v in sol.y.values], start=0)
-    z = None
-    if sol.z is not None:
-        z = AdaptedField(lattice, [-v for v in sol.z.values], start=0)
-    return BsdeSolution(y=y, z=z, driver=driver)
+    """Concave utility process u = -E_g(-claim | .) over all steps, by the mirrored step."""
+    return _solution(driver, terminal, -1.0, True)
 
 
 def utility(driver: Driver, terminal: AdaptedField, step: int) -> AdaptedField:
-    if step == terminal.start:
-        return terminal.single(step)
-    return utility_solution(driver, terminal).y.single(step)
+    return _value_at(driver, terminal, -1.0, step)
 
 
 def make_utility_operator(driver: Driver) -> UtilityOperator:

@@ -51,9 +51,21 @@ class ConfigError(ValueError):
 
 
 def _require_keys(mapping: dict, allowed: set[str], context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _read(mapping: dict, key: str, convert, default, context: str = "config"):
+    """mapping[key] through `convert`, or the default; unreadable values are config errors."""
+    if key not in mapping:
+        return default
+    try:
+        return convert(mapping[key])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}.{key}: cannot read {mapping[key]!r}") from None
 
 
 def _malformed_driver() -> Driver:
@@ -93,25 +105,24 @@ class ExperimentConfig:
         cfg.integrand_spec = raw.get("integrand")
         grid = raw.get("grid", {})
         _require_keys(grid, {"horizon", "steps", "topology"}, "config.grid")
-        cfg.horizon = float(grid.get("horizon", cfg.horizon))
-        cfg.steps = int(grid.get("steps", cfg.steps))
-        topology = grid.get("topology", "recombining")
-        try:
-            cfg.topology = TreeTopology(topology)
-        except ValueError:
-            raise ConfigError(f"unknown topology {topology!r}") from None
-        cfg.steps_list = tuple(int(n) for n in raw.get("steps_list", ()))
-        if any(b <= a for a, b in zip(cfg.steps_list, cfg.steps_list[1:])):
-            raise ConfigError("steps_list must be strictly increasing")
+        cfg.horizon = _read(grid, "horizon", float, cfg.horizon, "config.grid")
+        cfg.steps = _read(grid, "steps", int, cfg.steps, "config.grid")
+        cfg.topology = _read(grid, "topology", TreeTopology, cfg.topology, "config.grid")
+        cfg.steps_list = _read(raw, "steps_list", lambda v: tuple(int(n) for n in v), ())
+        if any(b <= a for a, b in zip((0,) + cfg.steps_list, cfg.steps_list)):
+            raise ConfigError("steps_list must be strictly increasing step counts >= 1")
         cfg.claim_spec = raw.get("claim", cfg.claim_spec)
         cfg.control_spec = raw.get("control", cfg.control_spec)
-        cfg.suites = tuple(raw.get("suites", cfg.suites))
-        cfg.trials = int(raw.get("trials", cfg.trials))
-        cfg.levels = tuple(float(x) for x in raw.get("levels", cfg.levels))
+        cfg.suites = _read(raw, "suites", tuple, cfg.suites)
+        cfg.trials = _read(raw, "trials", int, cfg.trials)
+        if cfg.steps < 1 or cfg.trials < 1:
+            raise ConfigError(f"grid.steps and trials must be >= 1, got {cfg.steps} and {cfg.trials}")
+        cfg.levels = _read(raw, "levels", lambda v: tuple(float(x) for x in v), cfg.levels)
         tolerances = raw.get("tolerances", {})
         _require_keys(tolerances, set(DEFAULT_TOLERANCES), "config.tolerances")
-        cfg.tolerances = {**DEFAULT_TOLERANCES, **{k: float(v) for k, v in tolerances.items()}}
-        cfg.seed = int(raw.get("seed", cfg.seed))
+        cfg.tolerances = {k: _read(tolerances, k, float, v, "config.tolerances")
+                          for k, v in DEFAULT_TOLERANCES.items()}
+        cfg.seed = _read(raw, "seed", int, cfg.seed)
         cfg.output = raw.get("output")
         tabulate = raw.get("tabulate", {})
         _require_keys(tabulate, {"q_min", "q_max", "points", "times"}, "config.tabulate")
@@ -482,8 +493,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="CSV output path (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker-thread hint; execution stays deterministic")
     args = parser.parse_args(argv)
 
     try:

@@ -71,13 +71,9 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
     interval; convexity of the one-step objective in q makes both exact up to
     their stated tolerances.
     """
-    if terminal.start != terminal.stop:
-        raise ValueError("terminal claim must live at a single step")
+    vec = terminal.bounded_values()
     lattice = terminal.lattice
     t_step = terminal.start
-    vec = terminal[t_step]
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("terminal claim must be essentially bounded (finite)")
 
     sdt = lattice.sqrt_dt
     dt = lattice.dt
@@ -86,13 +82,10 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
 
-    us: list[np.ndarray] = [None] * (t_step + 1)
-    controls: list[np.ndarray] = [None] * t_step
-    clamps: list[np.ndarray] = [None] * t_step
-    us[t_step] = vec.copy()
+    controls: list[np.ndarray] = []
+    clamps: list[np.ndarray] = []
 
-    for k in reversed(range(t_step)):
-        down, up = lattice.child_values(us[k + 1])
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         zed = (up - down) / (2.0 * sdt)
         mean = (up + down) / 2.0
         t = lattice.grid.time(k)
@@ -108,8 +101,8 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
             lo = np.full_like(zed, max(-dom, -bound))
             hi = np.full_like(zed, min(dom, bound))
 
-            def objective(qq, _t=t, _z=zed):
-                return qq * _z + np.asarray(integrand(_t, qq), dtype=float)
+            def objective(qq):
+                return qq * zed + np.asarray(integrand(t, qq), dtype=float)
 
             q = _vector_golden_min(objective, lo, hi, golden_tol)
             clamp = np.abs(q) >= bound - 2.0 * golden_tol
@@ -119,19 +112,17 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
             bad = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise ValueError(f"integrand infinite at its own minimiser, {NodeId(k, bad)}; "
                              "the analytic minimiser must respect the effective domain")
-        us[k] = mean + (q * zed + fv) * dt
-        controls[k] = q
-        clamps[k] = clamp
+        controls.append(q)
+        clamps.append(clamp)
+        return mean + (q * zed + fv) * dt
 
+    us = [u for _, u in lattice.sweep(t_step, vec.copy(), step)]
     # Suffix steps of the control (beyond the claim window) stay at the neutral zero drift.
-    for k in range(t_step, lattice.steps):
-        controls.append(np.zeros(lattice.node_count(k)))
-        clamps.append(np.zeros(lattice.node_count(k), dtype=bool))
-
+    suffix = [np.zeros(lattice.node_count(k)) for k in range(t_step, lattice.steps)]
     return DualSolution(
-        u=AdaptedField(lattice, us, start=0),
-        argmin_control=PredictableControl(lattice, controls),
-        clamped=clamps,
+        u=AdaptedField(lattice, us[::-1], start=0),
+        argmin_control=PredictableControl(lattice, controls[::-1] + suffix),
+        clamped=clamps[::-1] + [np.zeros(v.shape, dtype=bool) for v in suffix],
         integrand=integrand,
     )
 

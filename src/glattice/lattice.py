@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -142,12 +142,22 @@ class Lattice:
             return v[:-1], v[1:]
         return v[0::2], v[1::2]
 
-    def lift_to_children(self, values: np.ndarray) -> np.ndarray:
-        """Copy a step-k vector onto every child node (full binary trees only)."""
-        if self.topology is not TreeTopology.FULL_BINARY:
-            raise ValueError("lifting parent values to children needs unique parents "
-                             "(full binary topology)")
-        return np.repeat(values, 2)
+    def sweep(self, start: int, values: np.ndarray,
+              step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+        """Backward dynamic program v_k = step(k, down, up) over the children of v_{k+1}.
+
+        Lazily yields (start, values), then (k, v_k) for k = start-1 .. 0: collect
+        it for a whole field or stop at the step needed.  A NaN from a step is an
+        error reported at its node; +inf passes through.
+        """
+        yield start, values
+        for k in reversed(range(start)):
+            values = step(k, *self.child_values(values))
+            lowest = values.min()
+            if lowest != lowest:  # min propagates NaN, so this is the whole-vector test
+                raise ValueError(f"backward step produced NaN at "
+                                 f"{NodeId(k, int(np.argmax(np.isnan(values))))}")
+            yield k, values
 
     def terminal_ancestors(self, step: int) -> np.ndarray:
         """For each terminal node, the index of its step-k ancestor (full binary only)."""
@@ -202,6 +212,16 @@ class AdaptedField:
             raise KeyError(f"field holds steps {self.start}..{self.stop}, not {step}")
         return self.values[step - self.start]
 
+    def bounded_values(self) -> np.ndarray:
+        """The values of a single-step claim, refused unless all finite (essentially bounded)."""
+        if self.start != self.stop:
+            raise ValueError("terminal claim must live at a single step")
+        finite = np.isfinite(self.values[0])
+        if not finite.all():
+            raise ValueError(f"terminal claim not essentially bounded: non-finite value at "
+                             f"{NodeId(self.start, int(np.argmin(finite)))}")
+        return self.values[0]
+
     def sup_norm(self) -> float:
         """Boundedness certificate: the largest absolute node value."""
         return max(float(np.max(np.abs(v))) for v in self.values)
@@ -229,11 +249,9 @@ def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] 
         vec = np.asarray(payoff, dtype=float)
     if vec.shape != (n,):
         raise ValueError(f"terminal claim needs {n} values, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        bad = int(np.flatnonzero(~np.isfinite(vec))[0])
-        raise ValueError(f"terminal claim not essentially bounded: non-finite value at "
-                         f"{NodeId(lattice.steps, bad)}")
-    return AdaptedField(lattice, [vec], start=lattice.steps)
+    claim = AdaptedField(lattice, [vec], start=lattice.steps)
+    claim.bounded_values()
+    return claim
 
 
 class PredictableControl:

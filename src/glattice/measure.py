@@ -53,9 +53,8 @@ class MeasureChange:
                 raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
                                          1.0 / self.lattice.sqrt_dt)
 
-    def one_step_expectation(self, values_next: np.ndarray, step: int) -> np.ndarray:
-        """Conditional expectation of a step-(k+1) vector given the step-k node."""
-        down, up = self.lattice.child_values(np.asarray(values_next, dtype=float))
+    def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """Conditional expectation given the step-k node, from its (down, up) child values."""
         p = self.up_prob[step]
         return p * up + (1.0 - p) * down
 
@@ -146,12 +145,11 @@ def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: in
     if field.start != field.stop:
         raise ValueError("expectation_under expects a single-step field")
     t = field.start
-    if from_step > t:
-        raise ValueError(f"conditioning step {from_step} is after the field step {t}")
-    cur = field[t].copy()
-    for k in reversed(range(from_step, t)):
-        cur = measure.one_step_expectation(cur, k)
-    return AdaptedField(measure.lattice, [cur], start=from_step)
+    if not 0 <= from_step <= t:
+        raise ValueError(f"conditioning step {from_step} outside [0, {t}]")
+    sweep = measure.lattice.sweep(t, field[t].copy(), measure.one_step_expectation)
+    return AdaptedField(measure.lattice, [next(v for k, v in sweep if k == from_step)],
+                        start=from_step)
 
 
 def between_masks(sigma: StoppingTime, tau: StoppingTime) -> list[np.ndarray]:

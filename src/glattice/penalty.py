@@ -57,14 +57,13 @@ def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
         raise ValueError("window needs sigma <= tau pointwise")
     lat = measure.lattice
     fq = integrand_on_control(integrand, measure.control)
-    dt = lat.dt
-    values = [None] * (lat.steps + 1)
-    values[lat.steps] = np.zeros(lat.node_count(lat.steps))
-    for k in reversed(range(lat.steps)):
+
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         inside = sigma.reached[k] & ~tau.reached[k]
-        carried = measure.one_step_expectation(values[k + 1], k)
-        values[k] = np.where(inside, fq[k] * dt, 0.0) + carried
-    return AdaptedField(lat, values, start=0)
+        return np.where(inside, fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
+
+    values = [v for _, v in lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)]
+    return AdaptedField(lat, values[::-1], start=0)
 
 
 @dataclass
@@ -201,14 +200,9 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
     penalty = penalty_formula(integrand, measure, 0, lat.steps).values
-    expected_tail = [None] * (lat.steps + 1)
-    expected_tail[lat.steps] = a_n.copy()
-    for k in reversed(range(lat.steps)):
-        expected_tail[k] = measure.one_step_expectation(expected_tail[k + 1], k)
-    residual = max(
-        float(np.max(np.abs(penalty[k] - (expected_tail[k] - acc.a[k]))))
-        for k in range(lat.steps + 1)
-    )
+    expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
+    residual = max(float(np.max(np.abs(penalty[k] - (tail - acc.a[k]))))
+                   for k, tail in expected_tail)
     return DoobReport(increasing=acc, residual=residual)
 
 
@@ -309,24 +303,19 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
             return (up - down) / (2.0 * _h)
 
     def utility_and_gradient(claim: np.ndarray, want_grad: bool) -> tuple[float, np.ndarray | None]:
-        ys = -claim
-        edge_weights = []
-        for k in reversed(range(lat.steps)):
-            down, up = lat.child_values(ys)
-            z = (up - down) / (2.0 * sdt)
-            t = lat.grid.time(k)
-            ys = (up + down) / 2.0 + np.asarray(driver(t, z), dtype=float) * lat.dt
-            if want_grad:
-                tilt = np.asarray(slope(t, z), dtype=float) * sdt / 2.0
-                edge_weights.append((0.5 - tilt, 0.5 + tilt))
-        value = -float(ys[0])
+        # Box claims can leave a quadratic driver's radius; the oracle never checks it.
+        zs: list[np.ndarray] | None = [] if want_grad else None
+        step = bsde.driver_step(driver, lat, -1.0, check_radius=False, zs=zs)
+        value = float(next(u for k, u in lat.sweep(lat.steps, claim, step) if k == 0)[0])
         if not want_grad:
             return value, None
         lam = np.ones(1)
-        for w_down, w_up in reversed(edge_weights):
+        for k, z in enumerate(reversed(zs)):
+            # the driver saw -z: the edge weights of the negated claim's solve
+            tilt = np.asarray(slope(lat.grid.time(k), -z), dtype=float) * sdt / 2.0
             nxt = np.empty(2 * lam.size)
-            nxt[0::2] = lam * w_down
-            nxt[1::2] = lam * w_up
+            nxt[0::2] = lam * (0.5 - tilt)
+            nxt[1::2] = lam * (0.5 + tilt)
             lam = nxt
         return value, lam
 
@@ -478,23 +467,17 @@ def _stopped_process(process: AdaptedField, stop: StoppingTime) -> AdaptedField:
     return AdaptedField(lat, vals, start=0)
 
 
-def _utility_one_step(driver: Driver, values_next: np.ndarray, lattice: Lattice, k: int) -> np.ndarray:
-    down, up = lattice.child_values(values_next)
-    z = (up - down) / (2.0 * lattice.sqrt_dt)
-    return (up + down) / 2.0 - np.asarray(driver(lattice.grid.time(k), -z), dtype=float) * lattice.dt
-
-
 def _window_utility_at_stop(driver: Driver, claim_frozen: AdaptedField,
                             sigma: StoppingTime, tau: StoppingTime) -> np.ndarray:
     """u over the window ]]sigma, tau]] of a claim frozen at tau, per path at sigma."""
     lat = claim_frozen.lattice
-    values = claim_frozen[lat.steps].copy()
-    fields = [None] * (lat.steps + 1)
-    fields[lat.steps] = values
-    for k in reversed(range(lat.steps)):
-        stepped = _utility_one_step(driver, fields[k + 1], lat, k)
-        fields[k] = np.where(tau.reached[k], claim_frozen[k], stepped)
-    return _value_at_stop(AdaptedField(lat, fields, start=0), sigma)
+    utility_step = bsde.driver_step(driver, lat, -1.0, check_radius=False)
+
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        return np.where(tau.reached[k], claim_frozen[k], utility_step(k, down, up))
+
+    fields = [v for _, v in lat.sweep(lat.steps, claim_frozen[lat.steps], step)]
+    return _value_at_stop(AdaptedField(lat, fields[::-1], start=0), sigma)
 
 
 # -- supermartingale / appendix suite ----------------------------------------

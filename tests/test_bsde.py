@@ -86,6 +86,32 @@ class TestSolve:
         assert max_field_diff(shifted.y, gl.AdaptedField(
             rec8, [v + 2.5 for v in base.y.values])) <= 1e-12
 
+    def test_nan_driver_output_is_an_error(self, rec8):
+        nan_driver = Driver(name="nan", evaluate=lambda t, z: np.where(
+            np.asarray(z) > 0.0, np.nan, 0.0), lipschitz=None, convex=True)
+        xi = gl.terminal_field(rec8, np.arange(9.0))
+        with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
+            gl.solve(nan_driver, xi)
+        with pytest.raises(ValueError, match="NaN"):
+            gl.g_expectation(nan_driver, xi)
+
+
+class TestMirroredStep:
+    @given(seed=st.integers(0, 10_000), steps=st.integers(1, 6),
+           spec=st.sampled_from(["abs:0.5", "entropic:1", "linear:0.3"]),
+           topology=st.sampled_from(list(gl.TreeTopology)))
+    @settings(max_examples=60, deadline=None)
+    def test_utility_is_negated_solve_of_negated_claim(self, seed, steps, spec, topology):
+        lat = gl.build_grid(1.0, steps, topology)
+        xi = np.random.default_rng(seed).uniform(-1.0, 1.0, lat.node_count(steps))
+        driver = gl.parse_spec(spec)
+        u = gl.utility_solution(driver, gl.terminal_field(lat, xi))
+        mirror = gl.solve(driver, gl.terminal_field(lat, -xi))
+        for k in range(steps + 1):
+            assert np.array_equal(u.y[k], -mirror.y[k])
+        for k in range(steps):
+            assert np.array_equal(u.z[k], -mirror.z[k])
+
 
 class TestGExpectation:
     def test_zero_driver(self, rec8):
@@ -132,6 +158,15 @@ class TestUtility:
         lat = gl.build_grid(1.0, 256)
         u0 = gl.utility(gl.abs_scaled(0.5), gl.terminal_field(lat, lambda x: x), 0)
         assert float(u0[0][0]) == pytest.approx(-0.5, abs=1e-13)
+
+    def test_nan_driver_output_is_an_error(self, rec8):
+        nan_driver = Driver(name="nan", evaluate=lambda t, z: np.where(
+            np.asarray(z) < 0.0, np.nan, 0.0), lipschitz=None, convex=True)
+        xi = gl.terminal_field(rec8, np.arange(9.0))
+        with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
+            gl.utility_solution(nan_driver, xi)
+        with pytest.raises(ValueError, match="NaN"):
+            gl.utility(nan_driver, xi, 0)
 
 
 class TestRecoverDriver:

@@ -154,6 +154,17 @@ class TestCommands:
         assert main(["price", "--config", str(bad)]) == 2
         cfg = write_config(tmp_path, driver="zero", bogus=1)
         assert main(["price", "--config", cfg]) == 2
+        for command, entries in [
+                ("price", {"grid": {"steps": "abc"}}),
+                ("price", {"grid": {"steps": 0}}),
+                ("price", {"grid": 5}),
+                ("price", {"tolerances": {"identity": "tight"}}),
+                ("props", {"trials": "x"}),
+                ("props", {"trials": -5, "suites": ["axioms"]}),
+                ("converge", {"steps_list": [0, 8]})]:
+            cfg = write_config(tmp_path, **entries)
+            assert main([command, "--config", cfg]) == 2, entries
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_module_error_exit_code(self, tmp_path, capsys):
         # inadmissible control: a module error surfaces as a failed run, not a crash
@@ -187,5 +198,6 @@ class TestDeterminism:
     @pytest.mark.parametrize("name", ["conjugate", "converge", "penalty", "price", "props"])
     def test_sample_configs_match_golden_csv(self, name, tmp_path, capsys):
         out = tmp_path / f"{name}.csv"
-        assert main([name, "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == 0
+        config = ROOT / "configs" / f"{name}.json"
+        assert main([name, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()

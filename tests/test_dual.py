@@ -74,6 +74,16 @@ class TestDualUtility:
         with pytest.raises(ValueError):
             gl.dual_utility(origin_indicator(), gl.AdaptedField(rec8, [vec], start=8))
 
+    def test_nan_minimiser_is_an_error(self, rec8):
+        # finite integrand values, so only the value recursion can see the NaN
+        nan_minimiser = PenaltyIntegrand(
+            name="nan", evaluate=lambda t, q: np.zeros_like(np.asarray(q, dtype=float)),
+            domain_radius=math.inf, zero_at_origin=True,
+            step_minimizer=lambda t, zed: np.full_like(zed, np.nan))
+        xi = gl.terminal_field(rec8, np.arange(9.0))
+        with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
+            gl.dual_utility(nan_minimiser, xi)
+
 
 class TestDualityGap:
     @pytest.mark.parametrize("steps", [16, 256])
