@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Sequence
@@ -27,6 +28,7 @@ from .conjugate import (
 )
 from .drivers import Driver, parse_spec
 from .lattice import (
+    FULL_BINARY_MAX_STEPS,
     AdaptedField,
     Lattice,
     PredictableControl,
@@ -44,6 +46,9 @@ DEFAULT_TOLERANCES = {
     "final_error": 5e-3,
     "identity": 1e-12,
 }
+
+
+TABULATE_DEFAULTS = {"q_min": -2.0, "q_max": 2.0, "points": 81, "times": (0.0,)}
 
 
 class ConfigError(ValueError):
@@ -64,8 +69,22 @@ def _read(mapping: dict, key: str, convert, default, context: str = "config"):
         return default
     try:
         return convert(mapping[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{context}.{key}: cannot read {mapping[key]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{context}.{key}: cannot read {mapping[key]!r} ({exc})") from None
+
+
+def _count(value) -> int:
+    """A whole number given as an integer or an integral float; booleans are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not a whole number: {value!r}")
+    return int(value)
+
+
+def _positive_finite(value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError(f"not positive and finite: {value!r}")
+    return number
 
 
 def _malformed_driver() -> Driver:
@@ -93,7 +112,7 @@ class ExperimentConfig:
     tolerances: dict = dataclass_field(default_factory=dict)
     seed: int = 0
     output: str | None = None
-    tabulate: dict = dataclass_field(default_factory=dict)
+    tabulate: dict = dataclass_field(default_factory=lambda: dict(TABULATE_DEFAULTS))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -105,16 +124,21 @@ class ExperimentConfig:
         cfg.integrand_spec = raw.get("integrand")
         grid = raw.get("grid", {})
         _require_keys(grid, {"horizon", "steps", "topology"}, "config.grid")
-        cfg.horizon = _read(grid, "horizon", float, cfg.horizon, "config.grid")
-        cfg.steps = _read(grid, "steps", int, cfg.steps, "config.grid")
+        cfg.horizon = _read(grid, "horizon", _positive_finite, cfg.horizon, "config.grid")
+        cfg.steps = _read(grid, "steps", _count, cfg.steps, "config.grid")
         cfg.topology = _read(grid, "topology", TreeTopology, cfg.topology, "config.grid")
-        cfg.steps_list = _read(raw, "steps_list", lambda v: tuple(int(n) for n in v), ())
+        cfg.steps_list = _read(raw, "steps_list", lambda v: tuple(_count(n) for n in v), ())
         if any(b <= a for a, b in zip((0,) + cfg.steps_list, cfg.steps_list)):
             raise ConfigError("steps_list must be strictly increasing step counts >= 1")
+        if cfg.topology is TreeTopology.FULL_BINARY:
+            largest = max((cfg.steps,) + cfg.steps_list)
+            if largest > FULL_BINARY_MAX_STEPS:
+                raise ConfigError(f"full binary trees are limited to {FULL_BINARY_MAX_STEPS} "
+                                  f"steps, got {largest}")
         cfg.claim_spec = raw.get("claim", cfg.claim_spec)
         cfg.control_spec = raw.get("control", cfg.control_spec)
         cfg.suites = _read(raw, "suites", tuple, cfg.suites)
-        cfg.trials = _read(raw, "trials", int, cfg.trials)
+        cfg.trials = _read(raw, "trials", _count, cfg.trials)
         if cfg.steps < 1 or cfg.trials < 1:
             raise ConfigError(f"grid.steps and trials must be >= 1, got {cfg.steps} and {cfg.trials}")
         cfg.levels = _read(raw, "levels", lambda v: tuple(float(x) for x in v), cfg.levels)
@@ -125,8 +149,13 @@ class ExperimentConfig:
         cfg.seed = _read(raw, "seed", int, cfg.seed)
         cfg.output = raw.get("output")
         tabulate = raw.get("tabulate", {})
-        _require_keys(tabulate, {"q_min", "q_max", "points", "times"}, "config.tabulate")
-        cfg.tabulate = tabulate
+        _require_keys(tabulate, set(TABULATE_DEFAULTS), "config.tabulate")
+        converters = {"q_min": float, "q_max": float, "points": _count,
+                      "times": lambda v: tuple(float(t) for t in v)}
+        cfg.tabulate = {k: _read(tabulate, k, convert, TABULATE_DEFAULTS[k], "config.tabulate")
+                        for k, convert in converters.items()}
+        if cfg.tabulate["q_max"] <= cfg.tabulate["q_min"] or cfg.tabulate["points"] < 2:
+            raise ConfigError("tabulate needs q_min < q_max and points >= 2")
         return cfg
 
     def tolerance(self, name: str) -> float:
@@ -270,9 +299,32 @@ def closed_form_reference(config: ExperimentConfig) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
+def _refuse_oversized_price(config: ExperimentConfig) -> None:
+    """Config error when the node fields `price` holds at once exceed physical memory.
+
+    Those are the lattice levels, the utility's y and z and the dual's u and
+    argmin control (float64 each), and the dual's clamp flags (bool).
+    """
+    steps = config.steps
+    if config.topology is TreeTopology.RECOMBINING:
+        nodes = (steps + 1) * (steps + 2) // 2
+    else:
+        nodes = 2 ** (steps + 1) - 1
+    estimate = nodes * (5 * 8 + 1)
+    try:
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no budget
+        return
+    if estimate > physical:
+        raise ConfigError(f"price at {steps} steps would hold about {estimate / 2**30:.1f} GiB "
+                          f"of node fields ({nodes} nodes each), more than the "
+                          f"{physical / 2**30:.1f} GiB of physical memory")
+
+
 def cmd_price(config: ExperimentConfig) -> RunReport:
     """Price a claim twice (driver recursion and dual recursion) and compare."""
     report = RunReport("price", config.seed, __version__)
+    _refuse_oversized_price(config)
     lattice = config.build_lattice()
     driver = config.build_driver()
     claim = config.build_claim(lattice)
@@ -350,7 +402,7 @@ def cmd_converge(config: ExperimentConfig) -> RunReport:
     for steps in config.steps_list:
         lattice = config.build_lattice(steps)
         claim = config.build_claim(lattice)
-        value = float(bsde.utility_solution(driver, claim).y[0][0])
+        value = float(bsde.utility(driver, claim, 0)[0][0])
         err = abs(value - reference)
         errors.append(err)
         report.add(f"u0_error@N={steps}", f"{config.driver_spec};{config.claim_spec}",
@@ -460,13 +512,8 @@ def cmd_conjugate(config: ExperimentConfig) -> tuple[RunReport, str]:
     driver = config.build_driver()
     integrand = config.build_integrand(driver)
     spec = config.tabulate
-    q_min = float(spec.get("q_min", -2.0))
-    q_max = float(spec.get("q_max", 2.0))
-    points = int(spec.get("points", 81))
-    times = [float(t) for t in spec.get("times", [0.0])]
-    if q_max <= q_min or points < 2:
-        raise ConfigError("tabulate needs q_min < q_max and points >= 2")
-    qs = np.linspace(q_min, q_max, points)
+    points, times = spec["points"], spec["times"]
+    qs = np.linspace(spec["q_min"], spec["q_max"], points)
     lines = ["t,q,f_value"]
     for t in times:
         values = np.asarray(integrand(t, qs), dtype=float)

@@ -55,15 +55,22 @@ def _tensor_grid(radius: float, dim: int, per_axis: int) -> Array:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _local_grid(center: Array, half_width: float, radius: float, dim: int, per_axis: int) -> Array:
+def _local_grids(center: Array, half_width: float, radius: float, dim: int, per_axis: int) -> Array:
+    """One tensor grid per row around each center, clipped to the box [-radius, radius]^dim.
+
+    Every axis uses np.linspace's own arithmetic, ramp * ((hi - lo) / (n - 1)) + lo
+    with the last point set to hi, so each row's grid is bitwise the one
+    np.linspace builds for that row alone.  Shape (rows, per_axis) for dim 1,
+    (rows, per_axis**dim, dim) otherwise, points in meshgrid "ij" order.
+    """
+    lo = np.maximum(center - half_width, -radius)
+    hi = np.minimum(center + half_width, radius)
+    axes = np.arange(per_axis, dtype=float) * ((hi - lo) / (per_axis - 1))[..., None] + lo[..., None]
+    axes[..., -1] = hi
     if dim == 1:
-        lo = max(float(center) - half_width, -radius)
-        hi = min(float(center) + half_width, radius)
-        return np.linspace(lo, hi, per_axis)
-    axes = [np.linspace(max(c - half_width, -radius), min(c + half_width, radius), per_axis)
-            for c in np.atleast_1d(center)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+        return axes
+    index = np.indices((per_axis,) * dim).reshape(dim, -1)
+    return np.stack([axes[:, d, index[d]] for d in range(dim)], axis=-1)
 
 
 def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slopes,
@@ -71,9 +78,11 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
                              points: int | None = None, passes: int = 2) -> Array:
     """sup_x { slope . x - fun(t, x) } over [-radius, radius]^dim, one value per slope.
 
-    Grid search with `passes` refinement sweeps around each coarse arg max.
-    Infinite fun values are allowed and simply never attain the sup; an
-    all-infinite fun raises (empty effective domain).
+    Grid search with `passes` refinement sweeps around each coarse arg max,
+    run on blocks of up to 512 slopes at once: `fun` sees each block's local
+    grids as one flat batch of points.  Infinite fun values are allowed and
+    simply never attain the sup; an all-infinite fun raises (empty effective
+    domain).
     """
     if dim not in GRID_POINTS_PER_AXIS:
         raise ValueError(f"tensor grids support dimensions {sorted(GRID_POINTS_PER_AXIS)}, "
@@ -89,32 +98,37 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
         raise ValueError("empty effective domain: the function is +inf on the whole grid")
 
     finite = np.isfinite(fvals)
-    arg = np.empty(rows.shape[0], dtype=int)
-    best = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], 512):
-        hi = min(lo + 512, rows.shape[0])
-        block = rows[lo:hi]
-        cross = block[:, None] * pts[None, :] if dim == 1 else block @ pts.T
-        scores = cross - fvals[None, :]
-        scores[:, ~finite] = -np.inf
-        arg[lo:hi] = np.argmax(scores, axis=1)
-        best[lo:hi] = scores[np.arange(hi - lo), arg[lo:hi]]
-
     spacing = 2.0 * radius / (per_axis - 1) if per_axis > 1 else radius
     refine_axis = REFINE_POINTS_PER_AXIS[dim]
-    for i in range(rows.shape[0]):
-        center = pts[arg[i]]
+    best = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], 512):
+        block = rows[lo:lo + 512]
+        which = np.arange(block.shape[0])
+        cross = block[:, None] * pts[None, :] if dim == 1 else block @ pts.T
+        scores = cross - fvals[None, :]
+        del cross
+        scores[:, ~finite] = -np.inf
+        arg = np.argmax(scores, axis=1)
+        top = scores[which, arg]
+        del scores
+        center = pts[arg]
         width = spacing
         for _ in range(passes):
-            local = _local_grid(center, width, radius, dim, refine_axis)
-            lvals = np.asarray(fun(t, local), dtype=float)
-            lscores = (rows[i] * local if dim == 1 else local @ rows[i]) - lvals
+            local = _local_grids(center, width, radius, dim, refine_axis)
+            flat = local.reshape(-1) if dim == 1 else local.reshape(-1, dim)
+            lvals = np.asarray(fun(t, flat), dtype=float).reshape(local.shape[:2])
+            if dim == 1:
+                lscores = block[:, None] * local - lvals
+            else:
+                lscores = np.matmul(local, block[:, :, None])[..., 0] - lvals
             lscores[~np.isfinite(lvals)] = -np.inf
-            j = int(np.argmax(lscores))
-            if lscores[j] > best[i]:
-                best[i] = lscores[j]
-                center = local[j]
+            j = np.argmax(lscores, axis=1)
+            cand = lscores[which, j]
+            better = cand > top
+            top = np.where(better, cand, top)
+            center = np.where(better if dim == 1 else better[:, None], local[which, j], center)
             width = 2.0 * width / (refine_axis - 1)
+        best[lo:lo + 512] = top
     return best[0] if single else best
 
 

@@ -304,7 +304,8 @@ class StoppingTime:
     `reached[k]` flags the step-k nodes where the time is <= k, so {tau <= k}
     is a union of step-k atoms by construction (the adaptedness test).  The
     flags must be absorbing (children of a reached node are reached) and the
-    horizon is always reached.
+    horizon is always reached.  The constructor checks both; the combinators
+    and `hitting_time` build absorbing flags by construction and skip the check.
     """
 
     __slots__ = ("lattice", "reached")
@@ -326,21 +327,37 @@ class StoppingTime:
         self.reached = reached
 
     @classmethod
+    def _trusted(cls, lattice: Lattice, reached: list[np.ndarray]) -> "StoppingTime":
+        """Wrap boolean step masks that are absorbing and reach the horizon by construction."""
+        stop = cls.__new__(cls)
+        stop.lattice = lattice
+        stop.reached = reached
+        return stop
+
+    @classmethod
     def deterministic(cls, lattice: Lattice, step: int) -> "StoppingTime":
         if not 0 <= step <= lattice.steps:
             raise ValueError(f"step {step} outside [0, {lattice.steps}]")
-        return cls(lattice, [np.full(lattice.node_count(k), k >= step) for k in range(lattice.steps + 1)])
+        return cls._trusted(lattice, [np.full(lattice.node_count(k), k >= step)
+                                      for k in range(lattice.steps + 1)])
 
     def is_before(self, other: "StoppingTime") -> bool:
         """Pointwise self <= other: wherever other has stopped, self has too."""
         return all(np.all(mine | ~theirs)
                    for mine, theirs in zip(self.reached, other.reached))
 
+    def _same_grid(self, other: "StoppingTime") -> None:
+        if (len(other.reached) != len(self.reached)
+                or other.lattice.topology is not self.lattice.topology):
+            raise ValueError("stopping times live on different lattices")
+
     def minimum(self, other: "StoppingTime") -> "StoppingTime":
-        return StoppingTime(self.lattice, [a | b for a, b in zip(self.reached, other.reached)])
+        self._same_grid(other)
+        return StoppingTime._trusted(self.lattice, [a | b for a, b in zip(self.reached, other.reached)])
 
     def maximum(self, other: "StoppingTime") -> "StoppingTime":
-        return StoppingTime(self.lattice, [a & b for a, b in zip(self.reached, other.reached)])
+        self._same_grid(other)
+        return StoppingTime._trusted(self.lattice, [a & b for a, b in zip(self.reached, other.reached)])
 
     def step_on_paths(self) -> np.ndarray:
         """First reached step along each terminal path (full binary only)."""
@@ -387,4 +404,4 @@ def hitting_time(lattice: Lattice, event: Sequence[np.ndarray]) -> StoppingTime:
             cur = mask | carried
         reached.append(cur)
     reached[lattice.steps] = np.ones(lattice.node_count(lattice.steps), dtype=bool)
-    return StoppingTime(lattice, reached)
+    return StoppingTime._trusted(lattice, reached)

@@ -55,8 +55,13 @@ def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
     """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
     if not sigma.is_before(tau):
         raise ValueError("window needs sigma <= tau pointwise")
+    return _window_process(integrand_on_control(integrand, measure.control), measure, sigma, tau)
+
+
+def _window_process(fq: list[np.ndarray], measure: MeasureChange,
+                    sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
+    """The sweep behind `window_penalty_process`, given f(t_k, q_k) and an ordered window."""
     lat = measure.lattice
-    fq = integrand_on_control(integrand, measure.control)
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         inside = sigma.reached[k] & ~tau.reached[k]
@@ -116,9 +121,10 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
     """
     if not (sigma.is_before(tau) and tau.is_before(upsilon)):
         raise ValueError("cocycle needs sigma <= tau <= upsilon pointwise")
-    whole = window_penalty_process(integrand, measure, sigma, upsilon)
-    head = window_penalty_process(integrand, measure, sigma, tau)
-    tail = window_penalty_process(integrand, measure, tau, upsilon)
+    fq = integrand_on_control(integrand, measure.control)
+    whole = _window_process(fq, measure, sigma, upsilon)
+    head = _window_process(fq, measure, sigma, tau)
+    tail = _window_process(fq, measure, tau, upsilon)
     worst = 0.0
     for w, h, t in zip(whole.values, head.values, tail.values):
         combined_inf = np.isinf(h) | np.isinf(t)
@@ -567,10 +573,12 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
         lemma_worst = -math.inf
         acceptance_residual = 0.0
 
+    # random_stopping_pair orders sigma <= tau, and every time is <= the horizon
+    fq = integrand_on_control(integrand, measure.control)
     for _ in range(trials):
         sigma, tau = random_stopping_pair(lat, rng)
-        from_sigma = window_penalty_process(integrand, measure, sigma, horizon)
-        from_tau = window_penalty_process(integrand, measure, tau, horizon)
+        from_sigma = _window_process(fq, measure, sigma, horizon)
+        from_tau = _window_process(fq, measure, tau, horizon)
         for a, b in zip(from_sigma.values, from_tau.values):
             finite = np.isfinite(a) & np.isfinite(b)
             if np.any(finite):
@@ -580,7 +588,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
                     violations += 1
 
         if oracle_part:
-            window_root = window_penalty_process(integrand, measure, sigma, tau)[0][0]
+            window_root = _window_process(fq, measure, sigma, tau)[0][0]
             u_sigma = _value_at_stop(u_process, sigma)
             u_tau = _value_at_stop(u_process, tau)
             bound = float(weights @ (u_sigma - u_tau)) + eps

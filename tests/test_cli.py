@@ -161,7 +161,19 @@ class TestCommands:
                 ("price", {"tolerances": {"identity": "tight"}}),
                 ("props", {"trials": "x"}),
                 ("props", {"trials": -5, "suites": ["axioms"]}),
-                ("converge", {"steps_list": [0, 8]})]:
+                ("converge", {"steps_list": [0, 8]}),
+                ("price", {"grid": {"horizon": -1}}),
+                ("price", {"grid": {"horizon": float("inf")}}),
+                ("price", {"grid": {"steps": 30, "topology": "full_binary"}}),
+                ("converge", {"grid": {"steps": 4, "topology": "full_binary"},
+                              "steps_list": [2, 40]}),
+                ("price", {"grid": {"steps": 3.7}}),
+                ("price", {"grid": {"steps": True}}),
+                ("converge", {"steps_list": [2, 4.5]}),
+                ("props", {"trials": 2.5, "suites": ["axioms"]}),
+                ("conjugate", {"tabulate": {"points": "x"}}),
+                ("conjugate", {"tabulate": {"times": 0.5}}),
+                ("price", {"grid": {"steps": 1000000}})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err

@@ -17,6 +17,49 @@ def brute_force_conjugate(driver, q, z_lo, z_hi, points=200001, t=0.0):
     return float(np.max(q * zs - np.asarray(driver(t, zs), dtype=float)))
 
 
+def reference_grid_sup(fun, t, slopes, radius, dim=1, points=None, passes=2):
+    """The grid sup refined one slope row at a time, as the library did before batching."""
+    from glattice.conjugate import GRID_POINTS_PER_AXIS, REFINE_POINTS_PER_AXIS, _tensor_grid
+
+    def local_grid(center, half_width, per_axis):
+        if dim == 1:
+            lo = max(float(center) - half_width, -radius)
+            hi = min(float(center) + half_width, radius)
+            return np.linspace(lo, hi, per_axis)
+        axes = [np.linspace(max(c - half_width, -radius), min(c + half_width, radius), per_axis)
+                for c in np.atleast_1d(center)]
+        grids = np.meshgrid(*axes, indexing="ij")
+        return np.stack([g.ravel() for g in grids], axis=-1)
+
+    slopes_arr = np.asarray(slopes, dtype=float)
+    single = slopes_arr.ndim == 0 if dim == 1 else slopes_arr.ndim == 1
+    rows = np.atleast_1d(slopes_arr) if dim == 1 else np.atleast_2d(slopes_arr)
+    per_axis = points if points is not None else GRID_POINTS_PER_AXIS[dim]
+    pts = _tensor_grid(radius, dim, per_axis)
+    fvals = np.asarray(fun(t, pts), dtype=float)
+    cross = rows[:, None] * pts[None, :] if dim == 1 else rows @ pts.T
+    scores = cross - fvals[None, :]
+    scores[:, ~np.isfinite(fvals)] = -np.inf
+    arg = np.argmax(scores, axis=1)
+    best = scores[np.arange(rows.shape[0]), arg]
+    spacing = 2.0 * radius / (per_axis - 1) if per_axis > 1 else radius
+    refine_axis = REFINE_POINTS_PER_AXIS[dim]
+    for i in range(rows.shape[0]):
+        center = pts[arg[i]]
+        width = spacing
+        for _ in range(passes):
+            local = local_grid(center, width, refine_axis)
+            lvals = np.asarray(fun(t, local), dtype=float)
+            lscores = (rows[i] * local if dim == 1 else local @ rows[i]) - lvals
+            lscores[~np.isfinite(lvals)] = -np.inf
+            j = int(np.argmax(lscores))
+            if lscores[j] > best[i]:
+                best[i] = lscores[j]
+                center = local[j]
+            width = 2.0 * width / (refine_axis - 1)
+    return best[0] if single else best
+
+
 def without_analytics(driver):
     """Strip analytic companions to force the numeric conjugation path."""
     return dataclasses.replace(driver, conjugate=None, step_minimizer=None)
@@ -94,6 +137,34 @@ class TestFenchel:
         expected = np.sum(pts**2, axis=1) / 2.0
         got = np.asarray(f(0.0, pts), dtype=float)
         assert np.max(np.abs(got - expected)) <= 1e-4
+
+
+class TestBatchedGridSup:
+    """The block-batched refinement is bitwise the per-row reference."""
+
+    @pytest.mark.parametrize("dim,points,count", [(1, None, 700), (1, 257, 40), (2, None, 30),
+                                                  (2, 33, 600), (3, None, 12), (3, 9, 40)])
+    def test_matches_per_row_reference(self, dim, points, count):
+        rng = np.random.default_rng(dim * 1000 + count)
+        funs = [gl.entropic(0.8, radius=3.0, dim=dim).evaluate,
+                gl.fenchel(gl.abs_scaled(0.7, dim=dim)).evaluate]
+        if dim == 1:
+            funs.append(gl.fenchel(gl.interval(-0.2, 0.7)).evaluate)
+        shapes = [(), (count,)] if dim == 1 else [(dim,), (count, dim)]
+        for fun in funs:
+            for shape in shapes:
+                slopes = rng.uniform(-2.5, 2.5, shape)
+                got = gl.grid_sup_of_linear_minus(fun, 0.3, slopes, 2.0, dim, points=points)
+                want = reference_grid_sup(fun, 0.3, slopes, 2.0, dim, points=points)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want, equal_nan=True), (dim, shape, fun)
+
+    def test_nested_numeric_conjugate_matches_reference(self):
+        integrand = gl.fenchel(without_analytics(gl.entropic(1.0, radius=4.0)))
+        zs = np.linspace(-4.0, 4.0, 41)
+        got = gl.grid_sup_of_linear_minus(integrand.evaluate, 0.0, zs, 4.0)
+        want = reference_grid_sup(integrand.evaluate, 0.0, zs, 4.0)
+        assert np.array_equal(got, want)
 
 
 class TestInverseFenchel:

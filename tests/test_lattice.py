@@ -191,6 +191,35 @@ class TestStoppingTime:
             down, up = rec8.child_values(tau.reached[k + 1])
             assert np.all(~tau.reached[k] | (down & up))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(list(gl.TreeTopology)), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_combinator_outputs_pass_the_public_constructor(self, topology, steps, seed):
+        # the combinators skip the absorption check; the checked constructor must agree
+        lat = gl.build_grid(1.0, steps, topology)
+        rng = np.random.default_rng(seed)
+
+        def random_event():
+            p = rng.uniform(0.0, 0.5)
+            return [rng.uniform(size=lat.node_count(k)) < p for k in range(steps + 1)]
+
+        a, b = gl.hitting_time(lat, random_event()), gl.hitting_time(lat, random_event())
+        fixed = gl.StoppingTime.deterministic(lat, int(rng.integers(steps + 1)))
+        for stop in (a, b, fixed, a.minimum(b), a.maximum(b), fixed.minimum(a),
+                     fixed.maximum(b)):
+            checked = gl.StoppingTime(lat, stop.reached)
+            assert all(np.array_equal(x, y) for x, y in zip(checked.reached, stop.reached))
+
+    def test_combinators_refuse_other_lattices(self, rec8):
+        other = gl.StoppingTime.deterministic(gl.build_grid(1.0, 6), 3)
+        binary = gl.StoppingTime.deterministic(gl.build_grid(1.0, 8, gl.TreeTopology.FULL_BINARY), 3)
+        mine = gl.StoppingTime.deterministic(rec8, 3)
+        for theirs in (other, binary):
+            with pytest.raises(ValueError, match="different lattices"):
+                mine.minimum(theirs)
+            with pytest.raises(ValueError, match="different lattices"):
+                mine.maximum(theirs)
+
 
 class TestPredictableControl:
     def test_constant_and_max_abs(self, rec8):
