@@ -87,6 +87,15 @@ def _positive_finite(value) -> float:
     return number
 
 
+def _spec_parameters(spec, context: str) -> tuple[str, tuple[float, ...]]:
+    """Split a `name:p1,p2` spec into its name and float parameters."""
+    name, _, rest = str(spec).partition(":")
+    try:
+        return name, tuple(float(p) for p in rest.split(",")) if rest else ()
+    except ValueError:
+        raise ConfigError(f"{context}: cannot read the parameters of {spec!r}") from None
+
+
 def _malformed_driver() -> Driver:
     # Designed-failure fixture: concave, deliberately mislabelled as convex.
     return Driver(name="malformed", evaluate=lambda t, z: -np.asarray(z, dtype=float) ** 2 / 2.0,
@@ -178,8 +187,7 @@ class ExperimentConfig:
         spec = self.integrand_spec
         if spec is None or spec == "conjugate":
             return fenchel(driver)
-        name, _, rest = spec.partition(":")
-        params = tuple(float(p) for p in rest.split(",")) if rest else ()
+        name, params = _spec_parameters(spec, "config.integrand")
         if name == "quadratic":
             gamma = params[0] if params else 1.0
             if gamma <= 0:
@@ -213,9 +221,11 @@ class ExperimentConfig:
         spec = self.claim_spec
         if isinstance(spec, dict):
             _require_keys(spec, {"explicit"}, "config.claim")
-            return terminal_field(lattice, spec["explicit"])
-        name, _, rest = str(spec).partition(":")
-        params = tuple(float(p) for p in rest.split(",")) if rest else ()
+            try:
+                return terminal_field(lattice, spec.get("explicit", ()))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config.claim.explicit: {exc}") from None
+        name, params = _spec_parameters(spec, "config.claim")
         if name == "brownian":
             return terminal_field(lattice, lambda level: level)
         if name == "abs_brownian":
@@ -230,8 +240,7 @@ class ExperimentConfig:
                           "use brownian | abs_brownian | call:K | constant:C | {{explicit: [...]}}")
 
     def build_control(self, lattice: Lattice) -> PredictableControl:
-        name, _, rest = self.control_spec.partition(":")
-        params = tuple(float(p) for p in rest.split(",")) if rest else ()
+        name, params = _spec_parameters(self.control_spec, "config.control")
         if name == "zero":
             return PredictableControl.constant(lattice, 0.0)
         if name == "constant":
@@ -261,11 +270,8 @@ def _normal_cdf(x: float) -> float:
 def closed_form_reference(config: ExperimentConfig) -> float:
     """Continuous-time closed forms for the registered (driver, claim) pairs."""
     horizon = config.horizon
-    driver_name, _, driver_rest = config.driver_spec.partition(":")
-    driver_params = tuple(float(p) for p in driver_rest.split(",")) if driver_rest else ()
-    claim_name = str(config.claim_spec).partition(":")[0]
-    claim_rest = str(config.claim_spec).partition(":")[2]
-    claim_params = tuple(float(p) for p in claim_rest.split(",")) if claim_rest else ()
+    driver_name, driver_params = _spec_parameters(config.driver_spec, "config.driver")
+    claim_name, claim_params = _spec_parameters(config.claim_spec, "config.claim")
 
     if driver_name == "zero":
         if claim_name == "brownian":
@@ -299,33 +305,26 @@ def closed_form_reference(config: ExperimentConfig) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
-def _refuse_oversized_price(config: ExperimentConfig) -> None:
-    """Config error when the node fields `price` holds at once exceed physical memory.
-
-    Those are the lattice levels, the utility's y and z and the dual's u and
-    argmin control (float64 each), and the dual's clamp flags (bool).
-    """
-    steps = config.steps
-    if config.topology is TreeTopology.RECOMBINING:
-        nodes = (steps + 1) * (steps + 2) // 2
-    else:
-        nodes = 2 ** (steps + 1) - 1
-    estimate = nodes * (5 * 8 + 1)
+def _refuse_oversized(command: str, lattice: Lattice, bytes_per_node: int) -> None:
+    """Config error when the node fields a command holds at once exceed physical memory."""
+    nodes = sum(map(lattice.node_count, range(lattice.steps + 1)))
+    estimate = nodes * bytes_per_node
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no budget
         return
     if estimate > physical:
-        raise ConfigError(f"price at {steps} steps would hold about {estimate / 2**30:.1f} GiB "
-                          f"of node fields ({nodes} nodes each), more than the "
-                          f"{physical / 2**30:.1f} GiB of physical memory")
+        raise ConfigError(f"{command} at {lattice.steps} steps would hold about "
+                          f"{estimate / 2**30:.1f} GiB of node fields ({nodes} nodes each), "
+                          f"more than the {physical / 2**30:.1f} GiB of physical memory")
 
 
 def cmd_price(config: ExperimentConfig) -> RunReport:
     """Price a claim twice (driver recursion and dual recursion) and compare."""
     report = RunReport("price", config.seed, __version__)
-    _refuse_oversized_price(config)
     lattice = config.build_lattice()
+    # the utility's y and z, the dual's u and argmin control (float64), its clamp flags (bool)
+    _refuse_oversized("price", lattice, 4 * 8 + 1)
     driver = config.build_driver()
     claim = config.build_claim(lattice)
     fixture = f"{config.driver_spec};{config.claim_spec};N={lattice.steps}"
@@ -353,6 +352,8 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
     """Penalty of a configured control: formula value, oracle, cocycle and Doob checks."""
     report = RunReport("penalty", config.seed, __version__)
     lattice = config.build_lattice()
+    # control, up-probabilities, f(t, q) and the cocycle's three window processes (float64)
+    _refuse_oversized("penalty", lattice, 6 * 8)
     driver = config.build_driver()
     integrand = config.build_integrand(driver)
     control = config.build_control(lattice)

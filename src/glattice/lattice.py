@@ -74,7 +74,9 @@ class Lattice:
             )
         self.grid = grid
         self.topology = topology
-        self._levels = self._build_levels()
+        # every level is (2 * ups - k) * sqrt(dt) with 2 * ups - k in [-N, N]
+        self._walk = np.arange(-grid.steps, grid.steps + 1) * grid.sqrt_dt
+        self._walk.flags.writeable = False
 
     # -- sizes -----------------------------------------------------------
 
@@ -111,29 +113,20 @@ class Lattice:
 
     # -- geometry --------------------------------------------------------
 
-    def _build_levels(self) -> list[np.ndarray]:
-        # (2 * upcount - k) * sqrt(dt): bitwise equal across merged paths
-        sdt = self.sqrt_dt
-        levels = []
-        upcount = np.zeros(1, dtype=np.int64)
-        for k in range(self.steps + 1):
-            levels.append((2 * upcount - k) * sdt)
-            if self.topology is TreeTopology.RECOMBINING:
-                upcount = np.arange(k + 2, dtype=np.int64)
-            else:
-                nxt = np.empty(2 * upcount.size, dtype=np.int64)
-                nxt[0::2] = upcount
-                nxt[1::2] = upcount + 1
-                upcount = nxt
-        for arr in levels:
-            arr.flags.writeable = False
-        return levels
-
     def level_values(self, step: int) -> np.ndarray:
-        """Random-walk approximation of the Brownian level, one value per node."""
+        """Random-walk approximation of the Brownian level, one read-only value per node."""
         if not 0 <= step <= self.steps:
             raise ValueError(f"step {step} outside [0, {self.steps}]")
-        return self._levels[step]
+        lowest = self.steps - step
+        if self.topology is TreeTopology.RECOMBINING:
+            return self._walk[lowest:lowest + 2 * step + 1:2]
+        index = np.arange(2**step)
+        ups = np.zeros(index.size, dtype=np.int64)
+        for bit in range(step):
+            ups += (index >> bit) & 1
+        levels = self._walk[lowest + 2 * ups]
+        levels.flags.writeable = False
+        return levels
 
     def child_values(self, values_at_next_step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a step-(k+1) vector into (down, up) children aligned with step-k nodes."""
@@ -141,6 +134,26 @@ class Lattice:
         if self.topology is TreeTopology.RECOMBINING:
             return v[:-1], v[1:]
         return v[0::2], v[1::2]
+
+    def push(self, values: np.ndarray, down, up) -> np.ndarray:
+        """Forward map, the transpose of `child_values`: a step-k vector to step k+1.
+
+        Each node sends `down * v` to its down child and `up * v` to its up
+        child; where recombining children merge the two contributions add
+        (an OR for boolean masks).
+        """
+        to_down = values * down
+        to_up = values * up
+        dtype = np.result_type(to_down, to_up)
+        if self.topology is TreeTopology.RECOMBINING:
+            out = np.zeros(to_down.size + 1, dtype=dtype)
+            out[:-1] += to_down
+            out[1:] += to_up
+            return out
+        out = np.empty(2 * to_down.size, dtype=dtype)
+        out[0::2] = to_down
+        out[1::2] = to_up
+        return out
 
     def sweep(self, start: int, values: np.ndarray,
               step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
@@ -368,7 +381,7 @@ class StoppingTime:
         out = np.full(n_paths, lat.steps, dtype=int)
         done = np.zeros(n_paths, dtype=bool)
         for k in range(lat.steps + 1):
-            hit = self.reached[k][lat.terminal_ancestors(k) if k < lat.steps else np.arange(n_paths)]
+            hit = self.reached[k][lat.terminal_ancestors(k)]
             fresh = hit & ~done
             out[fresh] = k
             done |= hit
@@ -391,17 +404,6 @@ def hitting_time(lattice: Lattice, event: Sequence[np.ndarray]) -> StoppingTime:
     for k, mask in enumerate(event):
         if mask.shape != (lattice.node_count(k),):
             raise ValueError(f"step {k}: event mask shape mismatches node count")
-        if k == 0:
-            cur = mask.copy()
-        else:
-            prev = reached[k - 1]
-            if lattice.topology is TreeTopology.RECOMBINING:
-                carried = np.zeros(k + 1, dtype=bool)
-                carried[:-1] |= prev
-                carried[1:] |= prev
-            else:
-                carried = np.repeat(prev, 2)
-            cur = mask | carried
-        reached.append(cur)
+        reached.append(mask | (lattice.push(reached[k - 1], True, True) if k else False))
     reached[lattice.steps] = np.ones(lattice.node_count(lattice.steps), dtype=bool)
     return StoppingTime._trusted(lattice, reached)

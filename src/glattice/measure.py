@@ -70,31 +70,15 @@ class MeasureChange:
             raise ValueError("density is path-dependent; build the measure on a "
                              "full binary tree to materialise it")
         vals = [np.ones(1)]
-        for k in range(lat.steps):
-            p = self.up_prob[k]
-            cur = vals[k]
-            nxt = np.empty(2 * cur.size)
-            nxt[0::2] = cur * (2.0 * (1.0 - p))
-            nxt[1::2] = cur * (2.0 * p)
-            vals.append(nxt)
+        for k, p in enumerate(self.up_prob):
+            vals.append(lat.push(vals[k], 2.0 * (1.0 - p), 2.0 * p))
         return AdaptedField(lat, vals, start=0)
 
     def node_probabilities(self) -> list[np.ndarray]:
         """Forward measure: probability of sitting at each node, step by step."""
-        lat = self.lattice
         probs = [np.ones(1)]
-        for k in range(lat.steps):
-            p = self.up_prob[k]
-            cur = probs[k]
-            if lat.topology is TreeTopology.RECOMBINING:
-                nxt = np.zeros(k + 2)
-                nxt[:-1] += cur * (1.0 - p)
-                nxt[1:] += cur * p
-            else:
-                nxt = np.empty(2 * cur.size)
-                nxt[0::2] = cur * (1.0 - p)
-                nxt[1::2] = cur * p
-            probs.append(nxt)
+        for k, p in enumerate(self.up_prob):
+            probs.append(self.lattice.push(probs[k], 1.0 - p, p))
         return probs
 
 

@@ -168,20 +168,23 @@ def accumulated_cost(integrand: PenaltyIntegrand, control: PredictableControl) -
     The cumulative sum is a path functional, so it lives on the full binary
     tree; on the recombining tree it exists only for deterministic controls.
     """
+    return _accumulate(integrand_on_control(integrand, control), control)
+
+
+def _accumulate(fq: list[np.ndarray], control: PredictableControl) -> IncreasingProcess:
+    """The sums behind `accumulated_cost`, given f(t_k, q_k)."""
     lat = control.lattice
-    fq = integrand_on_control(integrand, control)
     if not all(np.all(np.isfinite(v)) for v in fq):
         raise ValueError("integrand infinite along the control: accumulated cost undefined")
+    vals = [np.zeros(1)]
     if lat.topology is TreeTopology.FULL_BINARY:
-        vals = [np.zeros(1)]
         for k in range(lat.steps):
-            vals.append(np.repeat(vals[k] + fq[k] * lat.dt, 2))
+            vals.append(lat.push(vals[k] + fq[k] * lat.dt, 1.0, 1.0))
     elif control.is_deterministic():
         running = 0.0
-        vals = [np.zeros(1)]
         for k in range(lat.steps):
             running += float(fq[k][0]) * lat.dt
-            vals.append(np.full(k + 2, running))
+            vals.append(np.full(lat.node_count(k + 1), running))
     else:
         raise ValueError("accumulated cost is path-dependent: use a full binary tree "
                          "or a deterministic control")
@@ -201,11 +204,13 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     the identity against the penalty process of the full window.
     """
     lat = measure.lattice
-    acc = accumulated_cost(integrand, measure.control)
+    fq = integrand_on_control(integrand, measure.control)
+    acc = _accumulate(fq, measure.control)
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
-    penalty = penalty_formula(integrand, measure, 0, lat.steps).values
+    penalty = _window_process(fq, measure, StoppingTime.deterministic(lat, 0),
+                              StoppingTime.deterministic(lat, lat.steps))
     expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
     residual = max(float(np.max(np.abs(penalty[k] - (tail - acc.a[k]))))
                    for k, tail in expected_tail)
@@ -319,10 +324,7 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
         for k, z in enumerate(reversed(zs)):
             # the driver saw -z: the edge weights of the negated claim's solve
             tilt = np.asarray(slope(lat.grid.time(k), -z), dtype=float) * sdt / 2.0
-            nxt = np.empty(2 * lam.size)
-            nxt[0::2] = lam * (0.5 - tilt)
-            nxt[1::2] = lam * (0.5 + tilt)
-            lam = nxt
+            lam = lat.push(lam, 0.5 - tilt, 0.5 + tilt)
         return value, lam
 
     def objective(claim: np.ndarray, want_grad: bool = False):
@@ -408,10 +410,14 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
 
-    def root_penalty(ctrl: PredictableControl) -> float:
-        return penalty_formula(integrand, density_from_control(ctrl), 0, lat.steps).initial()
+    start, stop = StoppingTime.deterministic(lat, 0), StoppingTime.deterministic(lat, lat.steps)
 
-    full_value = root_penalty(control)
+    def root_penalty(ctrl: PredictableControl, fq: list[np.ndarray] | None = None) -> float:
+        fq = integrand_on_control(integrand, ctrl) if fq is None else fq
+        return float(_window_process(fq, density_from_control(ctrl), start, stop)[0][0])
+
+    fq = integrand_on_control(integrand, control)
+    full_value = root_penalty(control, fq)
     gated_values = tuple(root_penalty(truncate_control(control, n)) for n in levels)
     monotone = all(b >= a - tol for a, b in zip(gated_values, gated_values[1:]))
     max_control = control.max_abs()
@@ -420,12 +426,11 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     stopped_values = None
     stopped_monotone = None
     bound_ok = None
-    finite_cost = all(np.all(np.isfinite(v))
-                      for v in integrand_on_control(integrand, control))
+    finite_cost = all(np.all(np.isfinite(v)) for v in fq)
     skipped = not (finite_cost and (lat.topology is TreeTopology.FULL_BINARY
                                     or control.is_deterministic()))
     if not skipped:
-        acc = accumulated_cost(integrand, control)
+        acc = _accumulate(fq, control)
         max_increment = max(float(np.max(inc)) for inc in acc.increments())
         vals = []
         bound_ok = True
@@ -453,12 +458,10 @@ def _value_at_stop(process: AdaptedField, stop: StoppingTime) -> np.ndarray:
     """Per-path value of an adapted process at a stopping time (full binary)."""
     lat = process.lattice
     steps = stop.step_on_paths()
-    n = lat.steps
-    paths = np.arange(2**n)
-    out = np.empty(paths.size)
+    out = np.empty(steps.size)
     for k in np.unique(steps):
         sel = steps == k
-        out[sel] = process[int(k)][paths[sel] >> (n - int(k))]
+        out[sel] = process[int(k)][lat.terminal_ancestors(int(k))[sel]]
     return out
 
 
@@ -467,9 +470,8 @@ def _stopped_process(process: AdaptedField, stop: StoppingTime) -> AdaptedField:
     lat = process.lattice
     vals = [process[0].copy()]
     for k in range(lat.steps):
-        frozen = np.repeat(vals[k], 2)
-        live = process[k + 1]
-        vals.append(np.where(np.repeat(stop.reached[k], 2), frozen, live))
+        stopped = lat.push(stop.reached[k], True, True)
+        vals.append(np.where(stopped, lat.push(vals[k], 1.0, 1.0), process[k + 1]))
     return AdaptedField(lat, vals, start=0)
 
 

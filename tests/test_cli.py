@@ -173,7 +173,14 @@ class TestCommands:
                 ("props", {"trials": 2.5, "suites": ["axioms"]}),
                 ("conjugate", {"tabulate": {"points": "x"}}),
                 ("conjugate", {"tabulate": {"times": 0.5}}),
-                ("price", {"grid": {"steps": 1000000}})]:
+                ("price", {"grid": {"steps": 1000000}}),
+                ("price", {"claim": "call:x"}),
+                ("converge", {"claim": "call:x", "steps_list": [2, 4]}),
+                ("penalty", {"control": "constant:x"}),
+                ("price", {"integrand": "quadratic:x"}),
+                ("penalty", {"integrand": "quadratic:x"}),
+                ("price", {"claim": {"explicit": [1, 2]}}),
+                ("penalty", {"grid": {"steps": 1000000}})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err

@@ -83,6 +83,139 @@ class TestBrownianLevel:
             assert np.all(group == group[0])
 
 
+REC, FULL = gl.TreeTopology.RECOMBINING, gl.TreeTopology.FULL_BINARY
+
+
+def reference_levels(lattice):
+    """Per-step level vectors built by walking the up counts forward, one stored array per step."""
+    sdt = lattice.sqrt_dt
+    levels = []
+    upcount = np.zeros(1, dtype=np.int64)
+    for k in range(lattice.steps + 1):
+        levels.append((2 * upcount - k) * sdt)
+        if lattice.topology is REC:
+            upcount = np.arange(k + 2, dtype=np.int64)
+        else:
+            nxt = np.empty(2 * upcount.size, dtype=np.int64)
+            nxt[0::2] = upcount
+            nxt[1::2] = upcount + 1
+            upcount = nxt
+    return levels
+
+
+def reference_push(lattice, values, down, up):
+    """The forward map written out per topology: merged children add, binary children interleave."""
+    if lattice.topology is REC:
+        nxt = np.zeros(values.size + 1, dtype=np.result_type(values * down, values * up))
+        nxt[:-1] += values * down
+        nxt[1:] += values * up
+        return nxt
+    nxt = np.empty(2 * values.size, dtype=np.result_type(values * down, values * up))
+    nxt[0::2] = values * down
+    nxt[1::2] = values * up
+    return nxt
+
+
+def reference_hitting_masks(lattice, event):
+    """Absorbing closure of an event, carried forward with explicit ORs and repeats."""
+    reached = []
+    for k, mask in enumerate(event):
+        if k == 0:
+            cur = mask.copy()
+        elif lattice.topology is REC:
+            carried = np.zeros(k + 1, dtype=bool)
+            carried[:-1] |= reached[k - 1]
+            carried[1:] |= reached[k - 1]
+            cur = mask | carried
+        else:
+            cur = mask | np.repeat(reached[k - 1], 2)
+        reached.append(cur)
+    reached[lattice.steps] = np.ones(lattice.node_count(lattice.steps), dtype=bool)
+    return reached
+
+
+def assert_same_array(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+class TestLayoutPrimitives:
+    """`level_values` and `push` against the stored levels and hand-written forward maps."""
+
+    @pytest.mark.parametrize("topology, sizes", [(REC, [1, 2, 7, 64, 1000]),
+                                                 (FULL, [1, 2, 5, 12])])
+    @pytest.mark.parametrize("horizon", [0.3, 1.0, 2.5, 7.0, 1e-3])
+    def test_level_values_match_stored_levels(self, topology, sizes, horizon):
+        for steps in sizes:
+            lat = gl.build_grid(horizon, steps, topology)
+            for k, expected in enumerate(reference_levels(lat)):
+                got = lat.level_values(k)
+                assert_same_array(got, expected)
+                assert not got.flags.writeable
+
+    def test_level_values_refuse_steps_outside_the_grid(self, rec8):
+        with pytest.raises(ValueError):
+            rec8.level_values(9)
+        with pytest.raises(ValueError):
+            rec8.level_values(-1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([REC, FULL]), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_push_matches_forward_maps(self, topology, steps, seed):
+        lat = gl.build_grid(1.7, steps, topology)
+        rng = np.random.default_rng(seed)
+        for k in range(steps):
+            n = lat.node_count(k)
+            values = rng.normal(size=n)
+            p = rng.uniform(0.05, 0.95, size=n)
+            for down, up in ((1.0 - p, p), (2.0 * (1.0 - p), 2.0 * p), (1.0, 1.0)):
+                got = lat.push(values, down, up)
+                assert got.shape == (lat.node_count(k + 1),)
+                assert_same_array(got, reference_push(lat, values, down, up))
+            mask = rng.uniform(size=n) < 0.4
+            assert_same_array(lat.push(mask, True, True), reference_push(lat, mask, True, True))
+            if topology is FULL:
+                assert_same_array(lat.push(values, 1.0, 1.0), np.repeat(values, 2))
+                assert_same_array(lat.push(mask, True, True), np.repeat(mask, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([REC, FULL]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_push_is_the_transpose_of_child_values(self, topology, steps, seed):
+        # small integers keep every sum exact
+        lat = gl.build_grid(1.0, steps, topology)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(steps))
+        v = rng.integers(-9, 10, size=lat.node_count(k)).astype(float)
+        w = rng.integers(-9, 10, size=lat.node_count(k + 1)).astype(float)
+        a = rng.integers(-3, 4, size=v.size).astype(float)
+        b = rng.integers(-3, 4, size=v.size).astype(float)
+        down, up = lat.child_values(w)
+        assert float(lat.push(v, a, b) @ w) == float(v @ (a * down + b * up))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([REC, FULL]), st.integers(1, 9), st.integers(0, 2**32 - 1))
+    def test_hitting_time_matches_explicit_closure(self, topology, steps, seed):
+        lat = gl.build_grid(1.0, steps, topology)
+        rng = np.random.default_rng(seed)
+        event = [rng.uniform(size=lat.node_count(k)) < 0.15 for k in range(steps + 1)]
+        got = gl.hitting_time(lat, event).reached
+        for mine, theirs in zip(got, reference_hitting_masks(lat, event)):
+            assert_same_array(mine, theirs)
+
+    @pytest.mark.parametrize("steps", [1, 4, 9])
+    def test_pushed_shift_matches_ancestor_gather(self, steps):
+        lat = gl.build_grid(1.0, steps, FULL)
+        rng = np.random.default_rng(steps)
+        for k in range(steps + 1):
+            shift = rng.normal(size=lat.node_count(k))
+            at_j = shift
+            for j in range(k, steps + 1):
+                if j > k:
+                    at_j = lat.push(at_j, 1.0, 1.0)
+                assert_same_array(at_j, shift[np.arange(lat.node_count(j)) >> (j - k)])
+            assert_same_array(at_j, shift[lat.terminal_ancestors(k)])
+
+
 class TestTerminalField:
     def test_identity_payoff(self):
         lat = gl.build_grid(1.0, 2)  # dt = 0.5

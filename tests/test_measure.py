@@ -61,6 +61,34 @@ class TestDensityFromControl:
             assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
 
 
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    @pytest.mark.parametrize("steps", [1, 3, 8])
+    def test_forward_maps_match_explicit_recursions(self, topology, steps):
+        # node probabilities and the density, written out per topology as references
+        lat = gl.build_grid(1.3, steps, topology)
+        Q = gl.density_from_control(random_control(lat, np.random.default_rng(steps), 1.2))
+        probs, dens = [np.ones(1)], [np.ones(1)]
+        for k, p in enumerate(Q.up_prob):
+            if topology is gl.TreeTopology.RECOMBINING:
+                nxt = np.zeros(k + 2)
+                nxt[:-1] += probs[k] * (1.0 - p)
+                nxt[1:] += probs[k] * p
+            else:
+                nxt = np.empty(2 * probs[k].size)
+                nxt[0::2] = probs[k] * (1.0 - p)
+                nxt[1::2] = probs[k] * p
+                m = np.empty(2 * dens[k].size)
+                m[0::2] = dens[k] * (2.0 * (1.0 - p))
+                m[1::2] = dens[k] * (2.0 * p)
+                dens.append(m)
+            probs.append(nxt)
+        for got, expected in zip(Q.node_probabilities(), probs, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        if topology is gl.TreeTopology.FULL_BINARY:
+            for got, expected in zip(Q.density().values, dens, strict=True):
+                assert np.array_equal(got, expected)
+
+
 class TestExponentialDensity:
     def test_any_finite_control_admissible(self):
         lat = gl.build_grid(1.0, 4)

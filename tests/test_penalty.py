@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -309,6 +310,38 @@ class TestTruncationConvergence:
         _, f = entropic_pair()
         report = gl.truncation_convergence(f, random_control(rec8, rng, 1.0), [1.0])
         assert report.stopping_skipped
+
+
+def counting_integrand():
+    """The entropic integrand, recording the time of every evaluation."""
+    _, f = entropic_pair()
+    calls = []
+
+    def evaluate(t, q):
+        calls.append(t)
+        return f(t, q)
+
+    return dataclasses.replace(f, evaluate=evaluate), calls
+
+
+class TestOneIntegrandEvaluation:
+    def test_doob_decomposition_evaluates_the_control_once(self, full6):
+        f, calls = counting_integrand()
+        Q = gl.density_from_control(random_control(full6, np.random.default_rng(5), 1.5))
+        report = gl.doob_decomposition(f, Q)
+        assert report.residual <= 1e-12
+        assert len(calls) == full6.steps
+
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    def test_truncation_evaluates_the_ungated_control_once(self, topology):
+        lat = gl.build_grid(1.0, 6, topology)
+        f, calls = counting_integrand()
+        q = gl.PredictableControl.constant(lat, 0.8)
+        levels = [0.05, 0.2, 1.0]
+        report = gl.truncation_convergence(f, q, levels)
+        assert report.passed and not report.stopping_skipped
+        # one pass for the control itself, one per gated and one per stopped control
+        assert len(calls) == lat.steps * (1 + 2 * len(levels))
 
 
 class TestSupermartingaleSuite:
