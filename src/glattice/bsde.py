@@ -10,6 +10,7 @@ enters only through dt when comparing against continuous-time closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,13 +43,22 @@ class BsdeSolution:
     """
 
     y: AdaptedField
-    z: AdaptedField | None
     driver: Driver
 
+    @cached_property
+    def z(self) -> AdaptedField | None:
+        """The increment field, derived from y with the sweep's own arithmetic; None at t = 0."""
+        lattice = self.y.lattice
+        sdt2 = 2.0 * lattice.sqrt_dt
+        zs = []
+        for k in range(self.y.stop):
+            down, up = lattice.child_values(self.y[k + 1])
+            zs.append((up - down) / sdt2)
+        return AdaptedField(lattice, zs, start=0) if zs else None
 
-def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: bool = True,
-                zs: list[np.ndarray] | None = None):
-    """The sweep step y_k = mean + sign * g(t_k, sign * z_k) dt; z_k goes to `zs`, last first.
+
+def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: bool = True):
+    """The sweep step y_k = mean + sign * g(t_k, sign * z_k) dt.
 
     sign = +1 is the g-expectation, sign = -1 the utility -E_g(-claim) stepped on
     the claim itself: negation is exact, so this is negate-solve-negate bit for
@@ -63,20 +73,16 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
         if check_radius and np.any(np.abs(z) > driver.validity_radius):
             idx = int(np.argmax(np.abs(z)))
             raise ValidityRadiusError(NodeId(k, idx), float(arg[idx]), driver.validity_radius)
-        if zs is not None:
-            zs.append(z)
         return (up + down) / 2.0 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
 
     return step
 
 
-def _solution(driver: Driver, terminal: AdaptedField, sign: float, check_radius: bool) -> BsdeSolution:
+def _solution(driver: Driver, terminal: AdaptedField, sign: float) -> BsdeSolution:
     lattice = terminal.lattice
-    zs: list[np.ndarray] = []
-    step = driver_step(driver, lattice, sign, check_radius=check_radius, zs=zs)
+    step = driver_step(driver, lattice, sign)
     ys = [y for _, y in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
-    z_field = AdaptedField(lattice, zs[::-1], start=0) if zs else None
-    return BsdeSolution(y=AdaptedField(lattice, ys[::-1], start=0), z=z_field, driver=driver)
+    return BsdeSolution(y=AdaptedField(lattice, ys[::-1], start=0), driver=driver)
 
 
 def _value_at(driver: Driver, terminal: AdaptedField, sign: float, step: int) -> AdaptedField:
@@ -89,9 +95,9 @@ def _value_at(driver: Driver, terminal: AdaptedField, sign: float, step: int) ->
     return AdaptedField(lattice, [next(y for k, y in sweep if k == step)], start=step)
 
 
-def solve(driver: Driver, terminal: AdaptedField, *, check_radius: bool = True) -> BsdeSolution:
+def solve(driver: Driver, terminal: AdaptedField) -> BsdeSolution:
     """Backward sweep from a single-step terminal claim down to step 0."""
-    return _solution(driver, terminal, 1.0, check_radius)
+    return _solution(driver, terminal, 1.0)
 
 
 def g_expectation(driver: Driver, terminal: AdaptedField) -> float:
@@ -105,7 +111,7 @@ def conditional_g_expectation(driver: Driver, terminal: AdaptedField, step: int)
 
 def utility_solution(driver: Driver, terminal: AdaptedField) -> BsdeSolution:
     """Concave utility process u = -E_g(-claim | .) over all steps, by the mirrored step."""
-    return _solution(driver, terminal, -1.0, True)
+    return _solution(driver, terminal, -1.0)
 
 
 def utility(driver: Driver, terminal: AdaptedField, step: int) -> AdaptedField:

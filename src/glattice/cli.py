@@ -26,7 +26,7 @@ from .conjugate import (
     monotone_family_check,
     truncate_integrand,
 )
-from .drivers import Driver, parse_spec
+from .drivers import Driver, _spec_parts, builtin
 from .lattice import (
     FULL_BINARY_MAX_STEPS,
     AdaptedField,
@@ -88,12 +88,11 @@ def _positive_finite(value) -> float:
 
 
 def _spec_parameters(spec, context: str) -> tuple[str, tuple[float, ...]]:
-    """Split a `name:p1,p2` spec into its name and float parameters."""
-    name, _, rest = str(spec).partition(":")
+    """Split a `name:p1,p2` spec into its name and finite float parameters."""
     try:
-        return name, tuple(float(p) for p in rest.split(",")) if rest else ()
-    except ValueError:
-        raise ConfigError(f"{context}: cannot read the parameters of {spec!r}") from None
+        return _spec_parts(spec)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: cannot read the parameters of {spec!r} ({exc})") from None
 
 
 def _malformed_driver() -> Driver:
@@ -178,8 +177,9 @@ class ExperimentConfig:
     def build_driver(self) -> Driver:
         if self.driver_spec == "malformed":
             return _malformed_driver()
+        name, params = _spec_parameters(self.driver_spec, "config.driver")
         try:
-            return parse_spec(self.driver_spec)
+            return builtin(name.strip(), params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

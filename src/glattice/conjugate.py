@@ -74,11 +74,10 @@ def _local_grids(center: Array, half_width: float, radius: float, dim: int, per_
 
 
 def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slopes,
-                             radius: float, dim: int = 1,
-                             points: int | None = None, passes: int = 2) -> Array:
+                             radius: float, dim: int = 1, points: int | None = None) -> Array:
     """sup_x { slope . x - fun(t, x) } over [-radius, radius]^dim, one value per slope.
 
-    Grid search with `passes` refinement sweeps around each coarse arg max,
+    Grid search with two refinement sweeps around each coarse arg max,
     run on blocks of up to 512 slopes at once: `fun` sees each block's local
     grids as one flat batch of points.  Infinite fun values are allowed and
     simply never attain the sup; an all-infinite fun raises (empty effective
@@ -113,7 +112,7 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
         del scores
         center = pts[arg]
         width = spacing
-        for _ in range(passes):
+        for _ in range(2):
             local = _local_grids(center, width, radius, dim, refine_axis)
             flat = local.reshape(-1) if dim == 1 else local.reshape(-1, dim)
             lvals = np.asarray(fun(t, flat), dtype=float).reshape(local.shape[:2])
@@ -132,7 +131,7 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
     return best[0] if single else best
 
 
-def fenchel(driver: Driver, *, points: int | None = None, passes: int = 2) -> PenaltyIntegrand:
+def fenchel(driver: Driver) -> PenaltyIntegrand:
     """Convex conjugate of a driver as a penalty integrand.
 
     A driver Lipschitz with constant mu has conjugate exactly +inf outside the
@@ -165,8 +164,7 @@ def fenchel(driver: Driver, *, points: int | None = None, passes: int = 2) -> Pe
             z_max = 8.0 * max(1.0, mu if mu is not None else 1.0)
 
         def inner(t, q, _zmax=z_max):
-            return grid_sup_of_linear_minus(driver.evaluate, t, q, _zmax, dim,
-                                            points=points, passes=passes)
+            return grid_sup_of_linear_minus(driver.evaluate, t, q, _zmax, dim)
 
     def evaluate(t, q):
         vals = np.asarray(inner(t, q), dtype=float)
@@ -189,8 +187,7 @@ def fenchel(driver: Driver, *, points: int | None = None, passes: int = 2) -> Pe
     )
 
 
-def inverse_fenchel(integrand: PenaltyIntegrand, *, search_radius: float | None = None,
-                    points: int | None = None, passes: int = 2) -> Driver:
+def inverse_fenchel(integrand: PenaltyIntegrand, *, search_radius: float | None = None) -> Driver:
     """Conjugate of a penalty integrand, recovered as a driver.
 
     The supremum runs over a grid of the effective domain, so the integrand
@@ -211,8 +208,7 @@ def inverse_fenchel(integrand: PenaltyIntegrand, *, search_radius: float | None 
                       lipschitz=0.0, convex=True, dim=integrand.dim)
 
     def evaluate(t, z, _radius=radius):
-        return grid_sup_of_linear_minus(integrand.evaluate, t, z, _radius,
-                                        integrand.dim, points=points, passes=passes)
+        return grid_sup_of_linear_minus(integrand.evaluate, t, z, _radius, integrand.dim)
 
     # Force the empty-domain error at build time rather than first use.
     probe = 0.0 if integrand.dim == 1 else np.zeros(integrand.dim)
@@ -280,14 +276,12 @@ class MonotoneFamilyReport:
         return self.integrand_decreasing and self.conjugates_increasing and self.infimum_recovers
 
 
-def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float], *,
-                          q_grid: Array | None = None, z_grid: Array | None = None,
-                          t: float = 0.0, conjugate_tol: float = 1e-9) -> MonotoneFamilyReport:
+def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float]) -> MonotoneFamilyReport:
     """Verify the gated family: f_n decreasing in n, conjugates increasing, inf_n f_n = f.
 
-    The infimum check demands exact equality at every grid point some level
-    covers; the conjugate monotonicity allows grid tolerance because each
-    level is conjugated on its own grid.
+    Runs at t = 0.  The infimum check demands exact equality at every grid
+    point some level covers; the conjugate monotonicity allows a grid
+    tolerance of 1e-9 because each level is conjugated on its own grid.
     """
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -295,13 +289,11 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float], 
     if integrand.dim != 1:
         raise ValueError("family check runs on 1-d integrands")
     span = max(levels) * 1.5 + 1.0
-    if q_grid is None:
-        q_grid = np.linspace(-span, span, 201)
-    if z_grid is None:
-        z_grid = np.linspace(-4.0, 4.0, 81)
+    q_grid = np.linspace(-span, span, 201)
+    z_grid = np.linspace(-4.0, 4.0, 81)
 
     gated = [truncate_integrand(integrand, n) for n in levels]
-    fvals = np.stack([np.asarray(g(t, q_grid), dtype=float) for g in gated])
+    fvals = np.stack([np.asarray(g(0.0, q_grid), dtype=float) for g in gated])
 
     counterexamples = []
     decreasing = True
@@ -313,20 +305,20 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float], 
             counterexamples.append(("integrand_order", levels[i], float(q_grid[j]),
                                     float(fvals[i, j]), float(fvals[i + 1, j])))
 
-    conj = [np.asarray(inverse_fenchel(g)(t, z_grid), dtype=float) for g in gated]
+    conj = [np.asarray(inverse_fenchel(g)(0.0, z_grid), dtype=float) for g in gated]
     worst = 0.0
     increasing = True
     for i in range(len(levels) - 1):
         gap = conj[i] - conj[i + 1]
         worst = max(worst, float(np.max(gap)))
-        bad = gap > conjugate_tol
+        bad = gap > 1e-9
         if np.any(bad):
             increasing = False
             j = int(np.flatnonzero(bad)[0])
             counterexamples.append(("conjugate_order", levels[i], float(z_grid[j]),
                                     float(conj[i][j]), float(conj[i + 1][j])))
 
-    base = np.asarray(integrand(t, q_grid), dtype=float)
+    base = np.asarray(integrand(0.0, q_grid), dtype=float)
     inf_family = np.min(fvals, axis=0)
     covered = np.abs(q_grid) <= max(levels)
     recovered = bool(np.all(inf_family[covered] == base[covered]))
@@ -337,14 +329,12 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float], 
     return MonotoneFamilyReport(levels, decreasing, increasing, recovered, worst, counterexamples)
 
 
-def biconjugate_gap(driver: Driver, z_grid, *, t: float = 0.0,
-                    points: int | None = None, passes: int = 2) -> float:
-    """Max absolute gap |g - (g*)*| on a z grid; near zero for convex drivers."""
+def biconjugate_gap(driver: Driver, z_grid) -> float:
+    """Max absolute gap |g - (g*)*| on a z grid at t = 0; near zero for convex drivers."""
     if not driver.convex:
         raise ValueError("biconjugate identity needs a convex driver")
-    integrand = fenchel(driver, points=points, passes=passes)
-    back = inverse_fenchel(integrand, points=points, passes=passes)
+    back = inverse_fenchel(fenchel(driver))
     z_grid = np.asarray(z_grid, dtype=float)
-    direct = np.asarray(driver(t, z_grid), dtype=float)
-    recovered = np.asarray(back(t, z_grid), dtype=float)
+    direct = np.asarray(driver(0.0, z_grid), dtype=float)
+    recovered = np.asarray(back(0.0, z_grid), dtype=float)
     return float(np.max(np.abs(direct - recovered)))

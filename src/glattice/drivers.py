@@ -194,10 +194,18 @@ def builtin(name: str, params: Sequence[float] = ()) -> Driver:
     return factory(tuple(params))
 
 
+def _spec_parts(text) -> tuple[str, tuple[float, ...]]:
+    """Split a `name:p1,p2` spec into its name and parameters; non-finite ones are refused."""
+    name, _, rest = str(text).partition(":")
+    params = tuple(float(p) for p in rest.split(",")) if rest else ()
+    if not all(map(math.isfinite, params)):
+        raise ValueError("parameters must be finite")
+    return name, params
+
+
 def parse_spec(text: str) -> Driver:
     """Parse CLI driver strings: zero | abs:MU | entropic:GAMMA[,RADIUS] | linear:B | interval:A,B."""
-    name, _, rest = text.partition(":")
-    params = tuple(float(p) for p in rest.split(",")) if rest else ()
+    name, params = _spec_parts(text)
     return builtin(name.strip(), params)
 
 

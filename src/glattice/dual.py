@@ -61,9 +61,7 @@ def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) ->
     return (a + b) / 2.0
 
 
-def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
-                 admissibility_margin: float = ADMISSIBILITY_MARGIN,
-                 golden_tol: float = GOLDEN_TOL) -> DualSolution:
+def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
     """Backward min-over-controls recursion for the penalised worst-case value.
 
     The minimiser comes from the integrand's analytic formula when it carries
@@ -77,7 +75,7 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
 
     sdt = lattice.sqrt_dt
     dt = lattice.dt
-    bound = (1.0 - admissibility_margin) / sdt
+    bound = (1.0 - ADMISSIBILITY_MARGIN) / sdt
     dom = integrand.domain_radius
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
@@ -104,8 +102,8 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, *,
             def objective(qq):
                 return qq * zed + np.asarray(integrand(t, qq), dtype=float)
 
-            q = _vector_golden_min(objective, lo, hi, golden_tol)
-            clamp = np.abs(q) >= bound - 2.0 * golden_tol
+            q = _vector_golden_min(objective, lo, hi, GOLDEN_TOL)
+            clamp = np.abs(q) >= bound - 2.0 * GOLDEN_TOL
 
         fv = np.asarray(integrand(t, q), dtype=float)
         if not np.all(np.isfinite(fv)):
@@ -159,7 +157,7 @@ class MonotoneUtilityReport:
 
 
 def monotone_utility_check(integrand: PenaltyIntegrand, terminal: AdaptedField,
-                           levels: Sequence[float], *, tol: float = 1e-12) -> MonotoneUtilityReport:
+                           levels: Sequence[float]) -> MonotoneUtilityReport:
     """Gated utilities decrease in the gate level and saturate at the full value.
 
     Larger gates enlarge the feasible set of the nodewise min, so the fields
@@ -181,16 +179,15 @@ def monotone_utility_check(integrand: PenaltyIntegrand, terminal: AdaptedField,
                         for a, b in zip(solutions[-1].u.values, full.u.values))
     return MonotoneUtilityReport(
         levels=levels,
-        decreasing=worst_order <= tol,
-        saturates=worst_sat <= tol,
+        decreasing=worst_order <= bsde.TOL_IDENTITY,
+        saturates=worst_sat <= bsde.TOL_IDENTITY,
         worst_order_violation=worst_order,
         worst_saturation_gap=worst_sat,
     )
 
 
-def first_order_optimality(solution: DualSolution, *, delta: float = 1e-4,
-                           tol: float = 1e-10) -> float:
-    """Worst improvement found by perturbing the minimiser by +-delta.
+def first_order_optimality(solution: DualSolution) -> float:
+    """Worst improvement found by perturbing the minimiser by +-1e-4.
 
     Clamped nodes are skipped (the perturbation leaves the admissible range);
     perturbations landing outside the effective domain cost +inf and never
@@ -210,7 +207,7 @@ def first_order_optimality(solution: DualSolution, *, delta: float = 1e-4,
         if not np.any(free):
             continue
         for sign in (-1.0, 1.0):
-            shifted = q + sign * delta
+            shifted = q + sign * 1e-4
             vals = shifted * zed + np.asarray(solution.integrand(t, shifted), dtype=float)
             with np.errstate(invalid="ignore"):
                 improvement = (base - vals)[free]

@@ -37,14 +37,12 @@ class AdmissibilityError(ValueError):
 class MeasureChange:
     """A measure equivalent to the fair coin, stored as per-node up probabilities."""
 
-    __slots__ = ("lattice", "control", "up_prob", "exact_drift")
+    __slots__ = ("lattice", "control", "up_prob")
 
-    def __init__(self, control: PredictableControl, up_prob: Sequence[np.ndarray],
-                 exact_drift: bool = True):
+    def __init__(self, control: PredictableControl, up_prob: Sequence[np.ndarray]):
         self.lattice = control.lattice
         self.control = control
         self.up_prob = [np.asarray(p, dtype=float) for p in up_prob]
-        self.exact_drift = exact_drift
         for k, p in enumerate(self.up_prob):
             if p.shape != (self.lattice.node_count(k),):
                 raise ValueError(f"step {k}: up_prob shape mismatches node count")
@@ -86,21 +84,14 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     """Measure change with the multiplicative density M_{k+1} = M_k (1 + q dB).
 
     Exact on the lattice: E_Q[dB | F_k] = q*dt and M is a P-martingale with
-    no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly; violations
-    raise instead of clamping, since clamping would silently change the
-    measure.
+    no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly, which is
+    0 < p < 1 for p = (1 + q sqrt(dt))/2; `MeasureChange` raises at the first
+    node where p leaves (0, 1) instead of clamping, since clamping would
+    silently change the measure.
     """
-    lat = control.lattice
-    sdt = lat.sqrt_dt
-    up_prob = []
-    for k in range(lat.steps):
-        q = control[k]
-        bad = np.abs(q) * sdt >= 1.0
-        if np.any(bad):
-            idx = int(np.flatnonzero(bad)[0])
-            raise AdmissibilityError(NodeId(k, idx), float(q[idx]), 1.0 / sdt)
-        up_prob.append((1.0 + q * sdt) / 2.0)
-    return MeasureChange(control, up_prob, exact_drift=True)
+    sdt = control.lattice.sqrt_dt
+    return MeasureChange(control, [(1.0 + control[k] * sdt) / 2.0
+                                   for k in range(control.lattice.steps)])
 
 
 def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
@@ -117,7 +108,7 @@ def exponential_density_from_control(control: PredictableControl) -> MeasureChan
     for k in range(lat.steps):
         q = control[k]
         up_prob.append(1.0 / (1.0 + np.exp(-2.0 * q * sdt)))
-    return MeasureChange(control, up_prob, exact_drift=False)
+    return MeasureChange(control, up_prob)
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

@@ -226,8 +226,7 @@ class PastingReport:
 
 def pasting_check(integrand: PenaltyIntegrand, first: PredictableControl,
                   second: PredictableControl, sigma: StoppingTime, tau: StoppingTime,
-                  *, restriction_level: float | None = None,
-                  pasted: PredictableControl | None = None) -> PastingReport:
+                  *, restriction_level: float | None = None) -> PastingReport:
     """Increment-level pasting: dA = dA1 outside ]]sigma, tau]], dA2 inside.
 
     Increments are per-node functions of the control, so the identity is
@@ -236,8 +235,7 @@ def pasting_check(integrand: PenaltyIntegrand, first: PredictableControl,
     control.
     """
     lat = first.lattice
-    if pasted is None:
-        pasted = paste_controls(first, second, sigma, tau)
+    pasted = paste_controls(first, second, sigma, tau)
     masks = between_masks(sigma, tau)
     inc_first = integrand_on_control(integrand, first)
     inc_second = integrand_on_control(integrand, second)
@@ -283,17 +281,15 @@ class PrimalOracleResult:
     iterations: int
 
 
-def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
-                          box_scale: float = 10.0, restarts: int = 5, seed: int = 0,
-                          improvement_tol: float = 1e-9,
-                          max_iterations: int = 20000) -> PrimalOracleResult:
+def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *, seed: int = 0) -> PrimalOracleResult:
     """Sup over bounded claims of E_Q[-claim] + u_0(claim), by projected ascent.
 
     This is the defining supremum of the unconditional penalty, evaluated by
     brute force and entirely independent of the integral formula.  The
     objective is concave near the optimum, low-dimensional (at most 16
-    variables), and maximised by supergradient ascent with step halving and
-    random restarts inside the box [-box_scale, box_scale]^nodes.
+    variables), and maximised by supergradient ascent with step halving from
+    the zero claim and 5 random restarts inside the box [-10, 10]^nodes, each
+    run stopping after 20000 iterations or a gain below 1e-9.
     """
     lat = measure.lattice
     if lat.topology is not TreeTopology.FULL_BINARY:
@@ -313,19 +309,22 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
             down = np.asarray(driver(t, z - _h), dtype=float)
             return (up - down) / (2.0 * _h)
 
+    # Box claims can leave a quadratic driver's radius; the oracle never checks it.
+    utility_step = bsde.driver_step(driver, lat, -1.0, check_radius=False)
+
     def utility_and_gradient(claim: np.ndarray, want_grad: bool) -> tuple[float, np.ndarray | None]:
-        # Box claims can leave a quadratic driver's radius; the oracle never checks it.
-        zs: list[np.ndarray] | None = [] if want_grad else None
-        step = bsde.driver_step(driver, lat, -1.0, check_radius=False, zs=zs)
-        value = float(next(u for k, u in lat.sweep(lat.steps, claim, step) if k == 0)[0])
+        sweep = lat.sweep(lat.steps, claim, utility_step)
         if not want_grad:
-            return value, None
+            return float(next(u for k, u in sweep if k == 0)[0]), None
+        ys = [u for _, u in sweep][::-1]
         lam = np.ones(1)
-        for k, z in enumerate(reversed(zs)):
+        for k in range(lat.steps):
+            down, up = lat.child_values(ys[k + 1])
+            z = (up - down) / (2.0 * sdt)
             # the driver saw -z: the edge weights of the negated claim's solve
             tilt = np.asarray(slope(lat.grid.time(k), -z), dtype=float) * sdt / 2.0
             lam = lat.push(lam, 0.5 - tilt, 0.5 + tilt)
-        return value, lam
+        return float(ys[0][0]), lam
 
     def objective(claim: np.ndarray, want_grad: bool = False):
         u_val, u_grad = utility_and_gradient(claim, want_grad)
@@ -334,22 +333,22 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
         return value, grad
 
     rng = np.random.default_rng(seed)
-    starts = [np.zeros(n)] + [rng.normal(scale=1.0, size=n) for _ in range(restarts)]
+    starts = [np.zeros(n)] + [rng.normal(scale=1.0, size=n) for _ in range(5)]
 
     best_value = -math.inf
     best_claim = np.zeros(n)
     total_iters = 0
     all_converged = True
     for start in starts:
-        xi = np.clip(start, -box_scale, box_scale)
+        xi = np.clip(start, -10.0, 10.0)
         value, grad = objective(xi, want_grad=True)
         step = 1.0
         converged = False
-        for _ in range(max_iterations):
+        for _ in range(20000):
             total_iters += 1
             improved = False
             while step >= 1e-14:
-                candidate = np.clip(xi + step * grad, -box_scale, box_scale)
+                candidate = np.clip(xi + step * grad, -10.0, 10.0)
                 cand_value, _ = objective(candidate)
                 if cand_value > value:
                     improved = True
@@ -361,7 +360,7 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *,
             gain = cand_value - value
             xi = candidate
             value, grad = objective(xi, want_grad=True)
-            if gain < improvement_tol:
+            if gain < 1e-9:
                 converged = True
                 break
             step = min(step * 2.0, 64.0)
@@ -396,7 +395,7 @@ class TruncationReport:
 
 
 def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableControl,
-                           levels: Sequence[float], *, tol: float = 1e-12) -> TruncationReport:
+                           levels: Sequence[float]) -> TruncationReport:
     """Penalties of gated controls rise to the full penalty and saturate exactly.
 
     For gates H_n = {|q| <= n} the report checks monotone approach and exact
@@ -419,7 +418,7 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     fq = integrand_on_control(integrand, control)
     full_value = root_penalty(control, fq)
     gated_values = tuple(root_penalty(truncate_control(control, n)) for n in levels)
-    monotone = all(b >= a - tol for a, b in zip(gated_values, gated_values[1:]))
+    monotone = all(b >= a - bsde.TOL_IDENTITY for a, b in zip(gated_values, gated_values[1:]))
     max_control = control.max_abs()
     saturated = all(v == full_value for n, v in zip(levels, gated_values) if n >= max_control)
 
@@ -444,8 +443,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
                 stopped_cost = acc.a[step][:1]
             bound_ok &= bool(np.all(stopped_cost <= n + max_increment + 1e-12))
         stopped_values = tuple(vals)
-        stopped_monotone = all(b >= a - tol for a, b in zip(vals, vals[1:]))
-        stopped_monotone &= all(v <= full_value + tol for v in vals)
+        stopped_monotone = all(b >= a - bsde.TOL_IDENTITY for a, b in zip(vals, vals[1:]))
+        stopped_monotone &= all(v <= full_value + bsde.TOL_IDENTITY for v in vals)
 
     return TruncationReport(levels, gated_values, full_value, monotone, saturated,
                             stopped_values, stopped_monotone, bound_ok, skipped)
@@ -532,8 +531,7 @@ class SupermartingaleReport:
 
 
 def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *,
-                          trials: int, seed: int, driver: Driver | None = None,
-                          tol: float = 1e-12) -> SupermartingaleReport:
+                          trials: int, seed: int, driver: Driver | None = None) -> SupermartingaleReport:
     """Random stopping pairs against the supermartingale and near-optimal-claim bounds.
 
     Always checks, node by node, that shrinking the window start from tau back
@@ -586,7 +584,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
             if np.any(finite):
                 gap = float(np.max(b[finite] - a[finite]))
                 worst_inequality = max(worst_inequality, gap)
-                if gap > tol:
+                if gap > bsde.TOL_IDENTITY:
                     violations += 1
 
         if oracle_part:
@@ -596,7 +594,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
             bound = float(weights @ (u_sigma - u_tau)) + eps
             margin = float(window_root) - bound
             lemma_worst = max(lemma_worst, margin)
-            if margin > tol:
+            if margin > bsde.TOL_IDENTITY:
                 lemma_violations += 1
 
             # xi - u_tau(xi) is acceptable over [tau, T]: utility zero at tau.
@@ -640,9 +638,7 @@ class UpperBoundReport:
         return ok
 
 
-def upper_bound_check(driver: Driver, control: PredictableControl, *,
-                      integrand: PenaltyIntegrand | None = None, seed: int = 0,
-                      tol: float = 1e-6) -> UpperBoundReport:
+def upper_bound_check(driver: Driver, control: PredictableControl, *, seed: int = 0) -> UpperBoundReport:
     """Primal value never exceeds the formula; equality whenever the formula is finite.
 
     With the control leaving the integrand's domain the formula reports +inf
@@ -650,9 +646,8 @@ def upper_bound_check(driver: Driver, control: PredictableControl, *,
     finite, which is exactly the expected one-sided picture.
     """
     measure = density_from_control(control)
-    f = integrand if integrand is not None else fenchel(driver)
-    formula = penalty_formula(f, measure, 0, control.lattice.steps).initial()
+    formula = penalty_formula(fenchel(driver), measure, 0, control.lattice.steps).initial()
     oracle = penalty_primal_oracle(driver, measure, seed=seed)
-    holds = oracle.value <= formula + tol
+    holds = oracle.value <= formula + 1e-6
     gap = abs(oracle.value - formula) if math.isfinite(formula) else None
     return UpperBoundReport(formula, oracle.value, holds, gap)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,28 @@ class TestMirroredStep:
             assert np.array_equal(u.y[k], -mirror.y[k])
         for k in range(steps):
             assert np.array_equal(u.z[k], -mirror.z[k])
+
+
+class TestDerivedIncrements:
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    def test_z_is_what_the_driver_was_handed(self, topology):
+        lat = gl.build_grid(1.0, 6, topology)
+        xi = gl.terminal_field(lat, np.random.default_rng(3).uniform(-1.0, 1.0, lat.node_count(6)))
+        base = gl.entropic(1.0, radius=16.0)
+        for solver, sign in ((gl.solve, 1.0), (gl.utility_solution, -1.0)):
+            handed = []
+
+            def recording(t, z):
+                handed.append(np.array(z))
+                return base.evaluate(t, z)
+
+            sol = solver(dataclasses.replace(base, evaluate=recording), xi)
+            assert len(handed) == 6
+            for k, z in enumerate(reversed(handed)):
+                assert np.array_equal(sol.z[k], sign * z)
+
+    def test_no_increments_for_a_root_claim(self, rec8):
+        assert gl.solve(gl.zero(), gl.AdaptedField.constant(rec8, 1.0, 0)).z is None
 
 
 class TestGExpectation:

@@ -180,7 +180,12 @@ class TestCommands:
                 ("price", {"integrand": "quadratic:x"}),
                 ("penalty", {"integrand": "quadratic:x"}),
                 ("price", {"claim": {"explicit": [1, 2]}}),
-                ("penalty", {"grid": {"steps": 1000000}})]:
+                ("penalty", {"grid": {"steps": 1000000}}),
+                ("price", {"claim": "constant:nan"}),
+                ("price", {"claim": "call:inf"}),
+                ("price", {"driver": "abs:nan"}),
+                ("price", {"driver": "entropic:inf"}),
+                ("penalty", {"control": "constant:nan"})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err

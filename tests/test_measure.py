@@ -25,6 +25,13 @@ class TestDensityFromControl:
         with pytest.raises(gl.AdmissibilityError) as err:
             gl.density_from_control(gl.PredictableControl.constant(lat, 5.0))
         assert err.value.node.step == 0
+        # sqrt(dt) = 0.5: the first |q| >= 2 is at step 2, index 1, on the p <= 0 side
+        values = [np.zeros(k + 1) for k in range(4)]
+        values[2][1:] = [-3.0, 2.5]
+        values[3][0] = 7.0
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.density_from_control(gl.PredictableControl(lat, values))
+        assert (err.value.node, err.value.value, err.value.bound) == (gl.NodeId(2, 1), -3.0, 2.0)
 
     def test_conditional_drift_is_exact(self, rec8):
         rng = np.random.default_rng(1)
