@@ -26,7 +26,7 @@ from .conjugate import (
     monotone_family_check,
     truncate_integrand,
 )
-from .drivers import Driver, _spec_parts, builtin
+from .drivers import _BUILTINS, Driver, bind_spec
 from .lattice import (
     FULL_BINARY_MAX_STEPS,
     AdaptedField,
@@ -87,18 +87,74 @@ def _positive_finite(value) -> float:
     return number
 
 
-def _spec_parameters(spec, context: str) -> tuple[str, tuple[float, ...]]:
-    """Split a `name:p1,p2` spec into its name and finite float parameters."""
+def _build(spec, table: dict, kind: str, *context):
+    """The object `spec` names in `table`, built after `context`; any fault is a config error."""
     try:
-        return _spec_parts(spec)
+        name, bound = bind_spec(spec, table, kind, *context)
+        return table[name](*bound.args)
     except ValueError as exc:
-        raise ConfigError(f"{context}: cannot read the parameters of {spec!r} ({exc})") from None
+        raise ConfigError(f"config.{kind}: {exc}") from None
 
 
-def _malformed_driver() -> Driver:
-    # Designed-failure fixture: concave, deliberately mislabelled as convex.
-    return Driver(name="malformed", evaluate=lambda t, z: -np.asarray(z, dtype=float) ** 2 / 2.0,
-                  lipschitz=4.0, convex=True, validity_radius=4.0)
+def _quadratic_integrand(driver: Driver, gamma: float = 1.0) -> PenaltyIntegrand:
+    if gamma <= 0:
+        raise ValueError("quadratic integrand needs gamma > 0")
+    return PenaltyIntegrand(
+        name=f"quadratic:{gamma:g}",
+        evaluate=lambda t, q: np.asarray(q, dtype=float) ** 2 / (2.0 * gamma),
+        domain_radius=math.inf, zero_at_origin=True,
+        step_minimizer=lambda t, zed: -gamma * np.asarray(zed, dtype=float),
+        domain_certified=False)
+
+
+def _box_integrand(driver: Driver, radius: float = 1.0) -> PenaltyIntegrand:
+    if radius < 0:
+        raise ValueError("box integrand needs a nonnegative radius")
+    return PenaltyIntegrand(
+        name=f"box:{radius:g}",
+        evaluate=lambda t, q: np.where(np.abs(np.asarray(q, dtype=float)) <= radius, 0.0, np.inf),
+        domain_radius=radius, zero_at_origin=True,
+        step_minimizer=lambda t, zed: -radius * np.sign(np.asarray(zed, dtype=float)))
+
+
+# Spec tables: a factory's parameters after its context are the spec's (`drivers.bind_spec`)
+DRIVERS = {
+    **_BUILTINS,
+    # designed-failure fixture: concave, deliberately mislabelled as convex
+    "malformed": lambda: Driver(
+        name="malformed", evaluate=lambda t, z: -np.asarray(z, dtype=float) ** 2 / 2.0,
+        lipschitz=4.0, convex=True, validity_radius=4.0),
+}
+
+INTEGRANDS = {
+    "conjugate": fenchel,
+    "quadratic": _quadratic_integrand,
+    "box": _box_integrand,
+    "origin": lambda driver: PenaltyIntegrand(
+        name="origin",
+        evaluate=lambda t, q: np.where(np.asarray(q, dtype=float) == 0.0, 0.0, np.inf),
+        domain_radius=0.0, zero_at_origin=True,
+        step_minimizer=lambda t, zed: np.zeros_like(np.asarray(zed, dtype=float))),
+}
+
+CLAIMS = {
+    "brownian": lambda lattice: terminal_field(lattice, lambda level: level),
+    "abs_brownian": lambda lattice: terminal_field(lattice, np.abs),
+    "call": lambda lattice, strike=0.0: terminal_field(
+        lattice, lambda level: np.maximum(level - strike, 0.0)),
+    "constant": lambda lattice, value=0.0: terminal_field(
+        lattice, lambda level: np.full_like(level, value)),
+}
+
+CONTROLS = {
+    "zero": lambda lattice: PredictableControl.constant(lattice, 0.0),
+    "constant": lambda lattice, q: PredictableControl.constant(lattice, q),
+    "piecewise": lambda lattice, q0, *q1: PredictableControl(lattice, [
+        np.full(lattice.node_count(k), (q0, *q1)[k % (1 + len(q1))])
+        for k in range(lattice.steps)]),
+    "feedback": lambda lattice, intercept, gain: PredictableControl.from_state_function(
+        lattice, lambda t, level: intercept + gain * level),
+}
 
 
 @dataclass
@@ -106,7 +162,7 @@ class ExperimentConfig:
     """Validated experiment description; builders turn specs into module objects."""
 
     driver_spec: str = "zero"
-    integrand_spec: str | None = None
+    integrand_spec: str = "conjugate"
     horizon: float = 1.0
     steps: int = 64
     topology: TreeTopology = TreeTopology.RECOMBINING
@@ -129,7 +185,7 @@ class ExperimentConfig:
                             "tabulate"}, "config")
         cfg = cls()
         cfg.driver_spec = raw.get("driver", cfg.driver_spec)
-        cfg.integrand_spec = raw.get("integrand")
+        cfg.integrand_spec = raw.get("integrand", cfg.integrand_spec)
         grid = raw.get("grid", {})
         _require_keys(grid, {"horizon", "steps", "topology"}, "config.grid")
         cfg.horizon = _read(grid, "horizon", _positive_finite, cfg.horizon, "config.grid")
@@ -175,92 +231,22 @@ class ExperimentConfig:
         return build_grid(self.horizon, steps if steps is not None else self.steps, self.topology)
 
     def build_driver(self) -> Driver:
-        if self.driver_spec == "malformed":
-            return _malformed_driver()
-        name, params = _spec_parameters(self.driver_spec, "config.driver")
-        try:
-            return builtin(name.strip(), params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _build(self.driver_spec, DRIVERS, "driver")
 
     def build_integrand(self, driver: Driver) -> PenaltyIntegrand:
-        spec = self.integrand_spec
-        if spec is None or spec == "conjugate":
-            return fenchel(driver)
-        name, params = _spec_parameters(spec, "config.integrand")
-        if name == "quadratic":
-            gamma = params[0] if params else 1.0
-            if gamma <= 0:
-                raise ConfigError("quadratic integrand needs gamma > 0")
-            return PenaltyIntegrand(
-                name=f"quadratic:{gamma:g}",
-                evaluate=lambda t, q: np.asarray(q, dtype=float) ** 2 / (2.0 * gamma),
-                domain_radius=math.inf, zero_at_origin=True,
-                step_minimizer=lambda t, zed: -gamma * np.asarray(zed, dtype=float),
-                domain_certified=False)
-        if name == "box":
-            radius = params[0] if params else 1.0
-            if radius < 0:
-                raise ConfigError("box integrand needs a nonnegative radius")
-            return PenaltyIntegrand(
-                name=f"box:{radius:g}",
-                evaluate=lambda t, q: np.where(np.abs(np.asarray(q, dtype=float)) <= radius,
-                                               0.0, np.inf),
-                domain_radius=radius, zero_at_origin=True,
-                step_minimizer=lambda t, zed: -radius * np.sign(np.asarray(zed, dtype=float)))
-        if name == "origin":
-            return PenaltyIntegrand(
-                name="origin",
-                evaluate=lambda t, q: np.where(np.asarray(q, dtype=float) == 0.0, 0.0, np.inf),
-                domain_radius=0.0, zero_at_origin=True,
-                step_minimizer=lambda t, zed: np.zeros_like(np.asarray(zed, dtype=float)))
-        raise ConfigError(f"unknown integrand spec {spec!r}; "
-                          "use conjugate | quadratic:G | box:K | origin")
+        return _build(self.integrand_spec, INTEGRANDS, "integrand", driver)
 
     def build_claim(self, lattice: Lattice) -> AdaptedField:
-        spec = self.claim_spec
-        if isinstance(spec, dict):
-            _require_keys(spec, {"explicit"}, "config.claim")
-            try:
-                return terminal_field(lattice, spec.get("explicit", ()))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config.claim.explicit: {exc}") from None
-        name, params = _spec_parameters(spec, "config.claim")
-        if name == "brownian":
-            return terminal_field(lattice, lambda level: level)
-        if name == "abs_brownian":
-            return terminal_field(lattice, np.abs)
-        if name == "call":
-            strike = params[0] if params else 0.0
-            return terminal_field(lattice, lambda level: np.maximum(level - strike, 0.0))
-        if name == "constant":
-            value = params[0] if params else 0.0
-            return terminal_field(lattice, lambda level: np.full_like(level, value))
-        raise ConfigError(f"unknown claim spec {spec!r}; "
-                          "use brownian | abs_brownian | call:K | constant:C | {{explicit: [...]}}")
+        if isinstance(self.claim_spec, str):
+            return _build(self.claim_spec, CLAIMS, "claim", lattice)
+        try:
+            _require_keys(self.claim_spec, {"explicit"}, "config.claim")
+            return terminal_field(lattice, self.claim_spec.get("explicit", ()))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f'config.claim {{"explicit": [...]}}: {exc}') from None
 
     def build_control(self, lattice: Lattice) -> PredictableControl:
-        name, params = _spec_parameters(self.control_spec, "config.control")
-        if name == "zero":
-            return PredictableControl.constant(lattice, 0.0)
-        if name == "constant":
-            if not params:
-                raise ConfigError("constant control needs a value, e.g. constant:0.4")
-            return PredictableControl.constant(lattice, params[0])
-        if name == "piecewise":
-            if not params:
-                raise ConfigError("piecewise control needs values, e.g. piecewise:0.1,0.4")
-            return PredictableControl(lattice, [
-                np.full(lattice.node_count(k), params[k % len(params)])
-                for k in range(lattice.steps)])
-        if name == "feedback":
-            if len(params) != 2:
-                raise ConfigError("feedback control needs two values, e.g. feedback:0.1,0.3")
-            intercept, gain = params
-            return PredictableControl.from_state_function(
-                lattice, lambda t, level: intercept + gain * level)
-        raise ConfigError(f"unknown control spec {self.control_spec!r}; "
-                          "use zero | constant:Q | piecewise:... | feedback:A,B")
+        return _build(self.control_spec, CONTROLS, "control", lattice)
 
 
 def _normal_cdf(x: float) -> float:
@@ -270,32 +256,35 @@ def _normal_cdf(x: float) -> float:
 def closed_form_reference(config: ExperimentConfig) -> float:
     """Continuous-time closed forms for the registered (driver, claim) pairs."""
     horizon = config.horizon
-    driver_name, driver_params = _spec_parameters(config.driver_spec, "config.driver")
-    claim_name, claim_params = _spec_parameters(config.claim_spec, "config.claim")
+    try:
+        driver, d = bind_spec(config.driver_spec, DRIVERS, "driver")
+        claim, c = bind_spec(config.claim_spec, CLAIMS, "claim", None)  # parameters only
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
-    if driver_name == "zero":
-        if claim_name == "brownian":
+    if driver == "zero":
+        if claim == "brownian":
             return 0.0
-        if claim_name == "abs_brownian":
+        if claim == "abs_brownian":
             return math.sqrt(2.0 * horizon / math.pi)
-        if claim_name == "call":
-            strike = claim_params[0] if claim_params else 0.0
+        if claim == "call":
+            strike = c.arguments["strike"]
             std = math.sqrt(horizon)
             pdf = math.exp(-(strike / std) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
             return std * pdf - strike * _normal_cdf(-strike / std)
-        if claim_name == "constant":
-            return claim_params[0] if claim_params else 0.0
-    if claim_name == "brownian":
-        if driver_name == "abs":
-            return -driver_params[0] * horizon
-        if driver_name == "entropic":
-            return -driver_params[0] * horizon / 2.0
-        if driver_name == "interval":
-            return driver_params[0] * horizon
-        if driver_name == "linear":
-            return driver_params[0] * horizon
-    if driver_name == "entropic" and claim_name == "abs_brownian":
-        gamma = driver_params[0]
+        if claim == "constant":
+            return c.arguments["value"]
+    if claim == "brownian":
+        if driver == "abs":
+            return -d.arguments["mu"] * horizon
+        if driver == "entropic":
+            return -d.arguments["gamma"] * horizon / 2.0
+        if driver == "interval":
+            return d.arguments["lo"] * horizon
+        if driver == "linear":
+            return d.arguments["slope"] * horizon
+    if driver == "entropic" and claim == "abs_brownian":
+        gamma = d.arguments["gamma"]
         return -(math.log(2.0) + gamma**2 * horizon / 2.0
                  + math.log(_normal_cdf(-gamma * math.sqrt(horizon)))) / gamma
     raise ConfigError(f"no closed-form reference registered for driver "
@@ -335,7 +324,7 @@ def cmd_price(config: ExperimentConfig) -> RunReport:
     gap = max(float(np.max(np.abs(a - b)))
               for a, b in zip(utility_value.y.values, dual_solution.u.values))
     tol = config.tolerance("duality_gap")
-    comparable = config.integrand_spec in (None, "conjugate")
+    comparable = config.integrand_spec == "conjugate"
 
     report.add("u0", fixture, float(utility_value.y[0][0]), float(dual_solution.u[0][0]),
                tol, (gap <= tol) if comparable else True)

@@ -9,6 +9,7 @@ every consumer checks its z arguments stay inside it.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -176,37 +177,45 @@ def interval(lo: float, hi: float) -> Driver:
     )
 
 
+# name -> factory; the factory's parameters are the spec's, defaults applied
 _BUILTINS = {
-    "zero": lambda params: zero(),
-    "abs": lambda params: abs_scaled(*params),
-    "entropic": lambda params: entropic(*params),
-    "linear": lambda params: linear(*params),
-    "interval": lambda params: interval(*params),
+    "zero": lambda: zero(),
+    "abs": lambda mu: abs_scaled(mu),
+    "entropic": lambda gamma, radius=8.0: entropic(gamma, radius),
+    "linear": lambda slope: linear(slope),
+    "interval": lambda lo, hi: interval(lo, hi),
 }
+
+
+def bind_spec(text, table: dict, kind: str, *leading) -> tuple[str, inspect.BoundArguments]:
+    """Bind `leading`, then a `name:p1,p2` spec's finite parameters, to `table[name]`."""
+    if not isinstance(text, str):
+        raise ValueError(f"{kind} spec must be a string, got {text!r}")
+    name, _, rest = text.partition(":")
+    name = name.strip()
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; known: {' | '.join(table)}")
+    try:
+        params = tuple(float(p) for p in rest.split(",")) if rest else ()
+        bound = inspect.signature(table[name]).bind(*leading, *params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} {text!r}: {exc}") from None
+    if not all(map(math.isfinite, params)):
+        raise ValueError(f"{kind} {text!r}: parameters must be finite")
+    bound.apply_defaults()
+    return name, bound
 
 
 def builtin(name: str, params: Sequence[float] = ()) -> Driver:
     """Instantiate a builtin driver by name with positional parameters."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise ValueError(f"unknown driver {name!r}; known: {sorted(_BUILTINS)}") from None
-    return factory(tuple(params))
-
-
-def _spec_parts(text) -> tuple[str, tuple[float, ...]]:
-    """Split a `name:p1,p2` spec into its name and parameters; non-finite ones are refused."""
-    name, _, rest = str(text).partition(":")
-    params = tuple(float(p) for p in rest.split(",")) if rest else ()
-    if not all(map(math.isfinite, params)):
-        raise ValueError("parameters must be finite")
-    return name, params
+    name, bound = bind_spec(name, _BUILTINS, "driver", *params)
+    return _BUILTINS[name](*bound.args)
 
 
 def parse_spec(text: str) -> Driver:
-    """Parse CLI driver strings: zero | abs:MU | entropic:GAMMA[,RADIUS] | linear:B | interval:A,B."""
-    name, params = _spec_parts(text)
-    return builtin(name.strip(), params)
+    """Parse a driver spec string such as `abs:0.5` or `entropic:1,16`."""
+    name, bound = bind_spec(text, _BUILTINS, "driver")
+    return _BUILTINS[name](*bound.args)
 
 
 # -- assumption probes ----------------------------------------------------
