@@ -35,6 +35,7 @@ from .lattice import (
     StoppingTime,
     TreeTopology,
     build_grid,
+    node_total,
     terminal_field,
 )
 from .measure import density_from_control
@@ -49,6 +50,11 @@ DEFAULT_TOLERANCES = {
 
 
 TABULATE_DEFAULTS = {"q_min": -2.0, "q_max": 2.0, "points": 81, "times": (0.0,)}
+
+SUITES = ("axioms", "supermartingale", "monotone_family", "pasting", "truncation", "biconjugate")
+
+# nodes one `converge` ladder may sweep: about 12 s at ~11.6 ns per node
+CONVERGE_NODE_BUDGET = 10**9
 
 
 class ConfigError(ValueError):
@@ -85,6 +91,19 @@ def _positive_finite(value) -> float:
     if not (math.isfinite(number) and number > 0):
         raise ValueError(f"not positive and finite: {value!r}")
     return number
+
+
+def _nonnegative_finite(value) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number >= 0):
+        raise ValueError(f"not nonnegative and finite: {value!r}")
+    return number
+
+
+def _suites(value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and value and all(name in SUITES for name in value)):
+        raise ValueError(f"not a non-empty list of suite names from {list(SUITES)}")
+    return tuple(value)
 
 
 def _build(spec, table: dict, kind: str, *context):
@@ -169,8 +188,7 @@ class ExperimentConfig:
     steps_list: tuple[int, ...] = ()
     claim_spec: object = "brownian"
     control_spec: str = "zero"
-    suites: tuple[str, ...] = ("axioms", "supermartingale", "monotone_family",
-                               "pasting", "truncation", "biconjugate")
+    suites: tuple[str, ...] = SUITES
     trials: int = 200
     levels: tuple[float, ...] = (1.0, 2.0, 4.0)
     tolerances: dict = dataclass_field(default_factory=dict)
@@ -201,16 +219,19 @@ class ExperimentConfig:
                                   f"steps, got {largest}")
         cfg.claim_spec = raw.get("claim", cfg.claim_spec)
         cfg.control_spec = raw.get("control", cfg.control_spec)
-        cfg.suites = _read(raw, "suites", tuple, cfg.suites)
+        cfg.suites = _read(raw, "suites", _suites, cfg.suites)
         cfg.trials = _read(raw, "trials", _count, cfg.trials)
         if cfg.steps < 1 or cfg.trials < 1:
             raise ConfigError(f"grid.steps and trials must be >= 1, got {cfg.steps} and {cfg.trials}")
-        cfg.levels = _read(raw, "levels", lambda v: tuple(float(x) for x in v), cfg.levels)
+        cfg.levels = _read(raw, "levels", lambda v: tuple(_nonnegative_finite(x) for x in v),
+                           cfg.levels)
+        if not cfg.levels or any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
+            raise ConfigError("levels must be a non-empty, strictly increasing list")
         tolerances = raw.get("tolerances", {})
         _require_keys(tolerances, set(DEFAULT_TOLERANCES), "config.tolerances")
-        cfg.tolerances = {k: _read(tolerances, k, float, v, "config.tolerances")
+        cfg.tolerances = {k: _read(tolerances, k, _nonnegative_finite, v, "config.tolerances")
                           for k, v in DEFAULT_TOLERANCES.items()}
-        cfg.seed = _read(raw, "seed", int, cfg.seed)
+        cfg.seed = _read(raw, "seed", _count, cfg.seed)
         cfg.output = raw.get("output")
         tabulate = raw.get("tabulate", {})
         _require_keys(tabulate, set(TABULATE_DEFAULTS), "config.tabulate")
@@ -296,7 +317,7 @@ def closed_form_reference(config: ExperimentConfig) -> float:
 
 def _refuse_oversized(command: str, lattice: Lattice, bytes_per_node: int) -> None:
     """Config error when the node fields a command holds at once exceed physical memory."""
-    nodes = sum(map(lattice.node_count, range(lattice.steps + 1)))
+    nodes = node_total(lattice.topology, lattice.steps)
     estimate = nodes * bytes_per_node
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -386,6 +407,10 @@ def cmd_converge(config: ExperimentConfig) -> RunReport:
     report = RunReport("converge", config.seed, __version__)
     if not config.steps_list:
         raise ConfigError("converge needs a strictly increasing steps_list")
+    swept = sum(node_total(config.topology, steps) for steps in config.steps_list)
+    if swept > CONVERGE_NODE_BUDGET:
+        raise ConfigError(f"converge over steps_list {list(config.steps_list)} would sweep "
+                          f"{swept} nodes, more than the budget of {CONVERGE_NODE_BUDGET}")
     reference = closed_form_reference(config)
     driver = config.build_driver()
     errors = []

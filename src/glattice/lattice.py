@@ -179,6 +179,13 @@ class Lattice:
         return np.arange(2**self.steps) >> (self.steps - step)
 
 
+def node_total(topology: TreeTopology, steps: int) -> int:
+    """Nodes of steps 0..N together, the sum of `Lattice.node_count`, in closed form."""
+    if topology is TreeTopology.RECOMBINING:
+        return (steps + 1) * (steps + 2) // 2
+    return 2 ** (steps + 1) - 1
+
+
 def build_grid(horizon: float, steps: int, topology: TreeTopology = TreeTopology.RECOMBINING) -> Lattice:
     """Build the lattice for a uniform grid; errors on empty grids and oversized trees."""
     return Lattice(TimeGrid(horizon, steps), topology)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glattice.cli import ConfigError, ExperimentConfig, closed_form_reference, main
+from glattice.cli import (CLAIMS, CONTROLS, DRIVERS, INTEGRANDS, ConfigError, ExperimentConfig,
+                          closed_form_reference, main)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -185,7 +187,16 @@ class TestCommands:
                 ("price", {"claim": "call:inf"}),
                 ("price", {"driver": "abs:nan"}),
                 ("price", {"driver": "entropic:inf"}),
-                ("penalty", {"control": "constant:nan"})]:
+                ("penalty", {"control": "constant:nan"}),
+                ("props", {"suites": "axioms"}),
+                ("props", {"suites": ["nope"]}),
+                ("props", {"suites": []}),
+                ("props", {"levels": [2, 1]}),
+                ("props", {"levels": [-1, 1]}),
+                ("price", {"tolerances": {"duality_gap": float("inf")}}),
+                ("price", {"tolerances": {"duality_gap": float("nan")}}),
+                ("price", {"seed": 1.5}),
+                ("converge", {"steps_list": [1, 2, 100000]})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err
@@ -195,6 +206,62 @@ class TestCommands:
         cfg = write_config(tmp_path, driver="entropic:1", control="constant:9.0",
                            grid={"horizon": 1.0, "steps": 4}, suites=["supermartingale"])
         assert main(["props", "--config", cfg]) == 1
+
+
+# spec kind -> (its table, arguments before the spec's parameters, subcommands that build it)
+SPEC_KINDS = {
+    "driver": (DRIVERS, 0, ["price", "penalty", "converge", "props", "conjugate"]),
+    "integrand": (INTEGRANDS, 1, ["price", "penalty", "props", "conjugate"]),
+    "claim": (CLAIMS, 1, ["price", "converge"]),
+    "control": (CONTROLS, 1, ["penalty", "props"]),
+}
+
+
+def spec_with(name, count):
+    return f"{name}:{','.join(str(i + 1) for i in range(count))}" if count else name
+
+
+def faulty_specs(table, context):
+    """Per entry, one parameter fewer than it needs and one more than it takes; an unknown name."""
+    specs = {"woof"}
+    for name, factory in table.items():
+        params = list(inspect.signature(factory).parameters.values())[context:]
+        required = sum(p.default is p.empty and p.kind is not p.VAR_POSITIONAL for p in params)
+        if required:
+            specs.add(spec_with(name, required - 1))
+        if not any(p.kind is p.VAR_POSITIONAL for p in params):
+            specs.add(spec_with(name, len(params) + 1))
+    return specs
+
+
+SPEC_FAULTS = sorted({(kind, spec, command)
+                      for kind, (table, context, commands) in SPEC_KINDS.items()
+                      for spec in faulty_specs(table, context) for command in commands}
+                     # the faults that ended as FAIL, TypeError or IndexError before
+                     | {("driver", "abs:1,2", "converge"), ("driver", "abs", "converge"),
+                        ("driver", "interval:1", "price"), ("driver", "linear", "converge"),
+                        ("claim", "call:1,2", "price"), ("integrand", "quadratic:1,2", "price")})
+
+
+class TestSpecFaults:
+    @pytest.mark.parametrize("kind,spec,command", SPEC_FAULTS)
+    def test_spec_fault_is_config_error(self, kind, spec, command, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid={"horizon": 1.0, "steps": 4}, steps_list=[4], trials=1,
+                           **{kind: spec})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "failed:" not in err
+
+    def test_every_table_entry_has_a_fault(self):
+        for kind, (table, context, _) in SPEC_KINDS.items():
+            faulted = {spec.partition(":")[0] for k, spec, _ in SPEC_FAULTS if k == kind}
+            assert faulted == set(table) | {"woof"}
+
+    def test_claim_message_names_explicit_form(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, claim=5)
+        assert main(["price", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert '{"explicit": [...]}' in err and "{{" not in err
 
 
 class TestDeterminism:

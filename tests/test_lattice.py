@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glattice as gl
+from glattice.lattice import node_total
 
 
 class TestBuildGrid:
@@ -42,6 +43,12 @@ class TestBuildGrid:
         for k in range(steps + 1):
             assert lat.node_count(k) == (2**k if full else k + 1)
             assert lat.level_values(k).shape == (lat.node_count(k),)
+
+    @given(steps=st.integers(1, 20), full=st.booleans())
+    def test_node_total_is_sum_of_node_counts(self, steps, full):
+        topo = gl.TreeTopology.FULL_BINARY if full else gl.TreeTopology.RECOMBINING
+        lat = gl.build_grid(1.0, steps, topo)
+        assert node_total(topo, steps) == sum(map(lat.node_count, range(steps + 1)))
 
 
 class TestBrownianLevel:
