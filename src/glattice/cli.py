@@ -107,7 +107,7 @@ def _suites(value) -> tuple[str, ...]:
 
 
 def _build(spec, table: dict, kind: str, *context):
-    """The object `spec` names in `table`, built after `context`; any fault is a config error."""
+    """Build what `spec` names in `table`, context first; any fault is a config error."""
     try:
         name, bound = bind_spec(spec, table, kind, *context)
         return table[name](*bound.args)
@@ -278,33 +278,33 @@ def closed_form_reference(config: ExperimentConfig) -> float:
     """Continuous-time closed forms for the registered (driver, claim) pairs."""
     horizon = config.horizon
     try:
-        driver, d = bind_spec(config.driver_spec, DRIVERS, "driver")
-        claim, c = bind_spec(config.claim_spec, CLAIMS, "claim", None)  # parameters only
+        driver_name, d = bind_spec(config.driver_spec, DRIVERS, "driver")
+        claim_name, c = bind_spec(config.claim_spec, CLAIMS, "claim", None)  # parameters only
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    if driver == "zero":
-        if claim == "brownian":
+    if driver_name == "zero":
+        if claim_name == "brownian":
             return 0.0
-        if claim == "abs_brownian":
+        if claim_name == "abs_brownian":
             return math.sqrt(2.0 * horizon / math.pi)
-        if claim == "call":
+        if claim_name == "call":
             strike = c.arguments["strike"]
             std = math.sqrt(horizon)
             pdf = math.exp(-(strike / std) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
             return std * pdf - strike * _normal_cdf(-strike / std)
-        if claim == "constant":
+        if claim_name == "constant":
             return c.arguments["value"]
-    if claim == "brownian":
-        if driver == "abs":
+    if claim_name == "brownian":
+        if driver_name == "abs":
             return -d.arguments["mu"] * horizon
-        if driver == "entropic":
+        if driver_name == "entropic":
             return -d.arguments["gamma"] * horizon / 2.0
-        if driver == "interval":
+        if driver_name == "interval":
             return d.arguments["lo"] * horizon
-        if driver == "linear":
+        if driver_name == "linear":
             return d.arguments["slope"] * horizon
-    if driver == "entropic" and claim == "abs_brownian":
+    if driver_name == "entropic" and claim_name == "abs_brownian":
         gamma = d.arguments["gamma"]
         return -(math.log(2.0) + gamma**2 * horizon / 2.0
                  + math.log(_normal_cdf(-gamma * math.sqrt(horizon)))) / gamma

@@ -253,8 +253,8 @@ class TestSpecFaults:
         assert err.startswith("config error:") and "failed:" not in err
 
     def test_every_table_entry_has_a_fault(self):
-        for kind, (table, context, _) in SPEC_KINDS.items():
-            faulted = {spec.partition(":")[0] for k, spec, _ in SPEC_FAULTS if k == kind}
+        for kind, (table, _, _) in SPEC_KINDS.items():
+            faulted = {spec.partition(":")[0] for k, spec, _command in SPEC_FAULTS if k == kind}
             assert faulted == set(table) | {"woof"}
 
     def test_claim_message_names_explicit_form(self, tmp_path, capsys):
