@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .drivers import Driver, abs_scaled
-from .lattice import AdaptedField, Lattice, NodeId, TreeTopology
+from .lattice import AdaptedField, Lattice, NodeId, TreeTopology, field_max
 
 UtilityOperator = Callable[[AdaptedField, int], AdaptedField]
 
@@ -49,11 +49,10 @@ class BsdeSolution:
     def z(self) -> AdaptedField | None:
         """The increment field, derived from y with the sweep's own arithmetic; None at t = 0."""
         lattice = self.y.lattice
-        sdt2 = 2.0 * lattice.sqrt_dt
         zs = []
         for k in range(self.y.stop):
             down, up = lattice.child_values(self.y[k + 1])
-            zs.append((up - down) / sdt2)
+            zs.append(lattice.increment(down, up))
         return AdaptedField(lattice, zs, start=0) if zs else None
 
 
@@ -64,11 +63,10 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
     the claim itself: negation is exact, so this is negate-solve-negate bit for
     bit.  A radius breach reports the z handed to the driver.
     """
-    sdt2 = 2.0 * lattice.sqrt_dt
     scale = sign * lattice.dt
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        z = (up - down) / sdt2
+        z = lattice.increment(down, up)
         arg = z if sign > 0 else -z
         if check_radius and np.any(np.abs(z) > driver.validity_radius):
             idx = int(np.argmax(np.abs(z)))
@@ -216,12 +214,8 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
     def u_process(vec: np.ndarray) -> AdaptedField:
         return utility_solution(driver, AdaptedField(lattice, [vec], start=lattice.steps)).y
 
-    def max_over(fields_a: AdaptedField, fields_b: AdaptedField, combine) -> float:
-        return max(float(np.max(combine(a, b))) for a, b in zip(fields_a.values, fields_b.values))
-
     u_zero = u_process(np.zeros(n_term))
-    checks["zero_normalisation"].record(
-        max(float(np.max(np.abs(v))) for v in u_zero.values), TOL_IDENTITY)
+    checks["zero_normalisation"].record(field_max(np.abs, u_zero), TOL_IDENTITY)
 
     for _ in range(trials):
         xi = rng.uniform(-claim_bound, claim_bound, size=n_term)
@@ -233,13 +227,12 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
         const = float(rng.uniform(-claim_bound, claim_bound))
         u_const = u_process(np.full(n_term, const))
         checks["zero_normalisation"].record(
-            max(float(np.max(np.abs(v - const))) for v in u_const.values), TOL_IDENTITY)
+            field_max(lambda v: np.abs(v - const), u_const), TOL_IDENTITY)
 
         # (a) monotonicity: adding a nonnegative claim never lowers the utility.
         bump = rng.uniform(0.0, claim_bound, size=n_term)
         u_higher = u_process(xi + bump)
-        checks["monotonicity"].record(max_over(u_xi, u_higher, lambda a, b: a - b),
-                                      TOL_INEQUALITY)
+        checks["monotonicity"].record(field_max(np.subtract, u_xi, u_higher), TOL_INEQUALITY)
 
         # strict version: one strictly better terminal atom moves the root value.
         atom = int(rng.integers(n_term))
@@ -264,15 +257,13 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
         # (c) concavity at a random mixing weight.
         alpha = float(rng.uniform(0.0, 1.0))
         u_mix = u_process(alpha * xi + (1.0 - alpha) * eta)
-        short = max(float(np.max(alpha * a + (1.0 - alpha) * b - m))
-                    for a, b, m in zip(u_xi.values, u_eta.values, u_mix.values))
+        short = field_max(lambda a, b, m: alpha * a + (1.0 - alpha) * b - m, u_xi, u_eta, u_mix)
         checks["concavity"].record(short, TOL_INEQUALITY)
 
         # domination: u(xi + eta) - u(xi) <= E^mu(eta) node by node.
         u_sum = u_process(xi + eta)
         dom = solve(dominating, AdaptedField(lattice, [eta], start=lattice.steps)).y
-        excess = max(float(np.max(s - a - d))
-                     for s, a, d in zip(u_sum.values, u_xi.values, dom.values))
+        excess = field_max(lambda s, a, d: s - a - d, u_sum, u_xi, dom)
         checks["domination"].record(excess, TOL_INEQUALITY)
 
         # (g) local property: mixing along a step-k event mixes the utilities.
@@ -285,14 +276,13 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
         # (f) time consistency: restart the solve from the step-k utility field.
         mid_claim = AdaptedField(lattice, [u_xi[k].copy()], start=k)
         restarted = utility_solution(driver, mid_claim).y
-        drift = max(float(np.max(np.abs(restarted[j] - u_xi[j]))) for j in range(k + 1))
+        drift = field_max(lambda r, u: np.abs(r - u), restarted, u_xi)  # steps 0..k
         checks["time_consistency"].record(drift, TOL_IDENTITY)
 
         if driver.positively_homogeneous:
             lam = float(rng.uniform(0.1, 3.0))
             u_scaled = u_process(lam * xi)
-            gap = max(float(np.max(np.abs(s - lam * a)))
-                      for s, a in zip(u_scaled.values, u_xi.values))
+            gap = field_max(lambda s, a: np.abs(s - lam * a), u_scaled, u_xi)
             checks["positive_homogeneity"].record(gap, TOL_IDENTITY * max(1.0, lam))
 
     return AxiomSuiteReport(driver.name, trials, checks)

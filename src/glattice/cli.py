@@ -35,6 +35,7 @@ from .lattice import (
     StoppingTime,
     TreeTopology,
     build_grid,
+    field_max,
     node_total,
     terminal_field,
 )
@@ -342,8 +343,7 @@ def cmd_price(config: ExperimentConfig) -> RunReport:
     utility_value = bsde.utility_solution(driver, claim)
     integrand = config.build_integrand(driver)
     dual_solution = dual.dual_utility(integrand, claim)
-    gap = max(float(np.max(np.abs(a - b)))
-              for a, b in zip(utility_value.y.values, dual_solution.u.values))
+    gap = field_max(lambda a, b: np.abs(a - b), utility_value.y, dual_solution.u)
     tol = config.tolerance("duality_gap")
     comparable = config.integrand_spec == "conjugate"
 

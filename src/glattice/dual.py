@@ -17,7 +17,7 @@ import numpy as np
 
 from .conjugate import PenaltyIntegrand, fenchel, truncate_integrand
 from .drivers import Driver
-from .lattice import AdaptedField, NodeId, PredictableControl
+from .lattice import AdaptedField, NodeId, PredictableControl, field_max
 from . import bsde
 
 ADMISSIBILITY_MARGIN = 1e-6
@@ -73,9 +73,8 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
     lattice = terminal.lattice
     t_step = terminal.start
 
-    sdt = lattice.sqrt_dt
     dt = lattice.dt
-    bound = (1.0 - ADMISSIBILITY_MARGIN) / sdt
+    bound = (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt
     dom = integrand.domain_radius
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
@@ -84,7 +83,7 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
     clamps: list[np.ndarray] = []
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        zed = (up - down) / (2.0 * sdt)
+        zed = lattice.increment(down, up)
         mean = (up + down) / 2.0
         t = lattice.grid.time(k)
 
@@ -130,7 +129,7 @@ def duality_gap(driver: Driver, terminal: AdaptedField) -> float:
     integrand = fenchel(driver)
     primal = bsde.utility_solution(driver, terminal).y
     dual = dual_utility(integrand, terminal).u
-    return max(float(np.max(np.abs(a - b))) for a, b in zip(primal.values, dual.values))
+    return field_max(lambda a, b: np.abs(a - b), primal, dual)
 
 
 def truncated_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, level: float) -> DualSolution:
@@ -170,13 +169,11 @@ def monotone_utility_check(integrand: PenaltyIntegrand, terminal: AdaptedField,
     solutions = [truncated_utility(integrand, terminal, n) for n in levels]
     worst_order = 0.0
     for lowgate, highgate in zip(solutions, solutions[1:]):
-        worst_order = max(worst_order, max(
-            float(np.max(b - a)) for a, b in zip(lowgate.u.values, highgate.u.values)))
+        worst_order = max(worst_order, field_max(lambda a, b: b - a, lowgate.u, highgate.u))
     full = dual_utility(integrand, terminal)
     worst_sat = math.inf
     if levels and levels[-1] >= integrand.domain_radius:
-        worst_sat = max(float(np.max(np.abs(a - b)))
-                        for a, b in zip(solutions[-1].u.values, full.u.values))
+        worst_sat = field_max(lambda a, b: np.abs(a - b), solutions[-1].u, full.u)
     return MonotoneUtilityReport(
         levels=levels,
         decreasing=worst_order <= bsde.TOL_IDENTITY,
@@ -194,12 +191,11 @@ def first_order_optimality(solution: DualSolution) -> float:
     improve, so they need no special casing.
     """
     lattice = solution.u.lattice
-    sdt = lattice.sqrt_dt
     worst = -math.inf
     t_step = solution.u.stop
     for k in range(t_step):
         down, up = lattice.child_values(solution.u[k + 1])
-        zed = (up - down) / (2.0 * sdt)
+        zed = lattice.increment(down, up)
         t = lattice.grid.time(k)
         q = solution.argmin_control[k]
         base = q * zed + np.asarray(solution.integrand(t, q), dtype=float)

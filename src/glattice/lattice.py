@@ -77,6 +77,7 @@ class Lattice:
         # every level is (2 * ups - k) * sqrt(dt) with 2 * ups - k in [-N, N]
         self._walk = np.arange(-grid.steps, grid.steps + 1) * grid.sqrt_dt
         self._walk.flags.writeable = False
+        self._two_sqrt_dt = 2.0 * grid.sqrt_dt
 
     # -- sizes -----------------------------------------------------------
 
@@ -102,6 +103,25 @@ class Lattice:
         if self.topology is TreeTopology.RECOMBINING:
             return step + 1
         return 2**step
+
+    def per_step(self, values: Sequence, first: int, last: int | None = None,
+                 dtype=float) -> list[np.ndarray]:
+        """`values` as one array per step first..last, step k holding `node_count(k)` entries.
+
+        `last` defaults to the step the given arrays reach (at least `first`).
+        This is the one shape check of per-step node data; every fault names
+        its step, a step outside the grid through `node_count`.
+        """
+        arrays = [np.asarray(v, dtype=dtype) for v in values]
+        last = first + max(len(arrays), 1) - 1 if last is None else last
+        if len(arrays) != last + 1 - first:
+            raise ValueError(f"step {first + min(len(arrays), last + 1 - first)}: need one "
+                             f"array per step {first}..{last}, got {len(arrays)}")
+        for k, vec in enumerate(arrays, start=first):
+            if vec.shape != (self.node_count(k),):
+                raise ValueError(f"step {k}: expected {self.node_count(k)} node values, "
+                                 f"got shape {vec.shape}")
+        return arrays
 
     def validate_node(self, node: NodeId) -> None:
         if not 0 <= node.step <= self.steps:
@@ -134,6 +154,10 @@ class Lattice:
         if self.topology is TreeTopology.RECOMBINING:
             return v[:-1], v[1:]
         return v[0::2], v[1::2]
+
+    def increment(self, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """The increment z = (up - down) / (2 sqrt(dt)) of a step, from its (down, up) children."""
+        return (up - down) / self._two_sqrt_dt
 
     def push(self, values: np.ndarray, down, up) -> np.ndarray:
         """Forward map, the transpose of `child_values`: a step-k vector to step k+1.
@@ -186,6 +210,15 @@ def node_total(topology: TreeTopology, steps: int) -> int:
     return 2 ** (steps + 1) - 1
 
 
+def field_max(combine: Callable[..., np.ndarray], *fields) -> float:
+    """Largest value of `combine` applied nodewise to the fields' aligned steps.
+
+    The fields (adapted fields or controls) are aligned at their first step;
+    the shortest one sets how many steps are reduced.
+    """
+    return max(float(np.max(combine(*step))) for step in zip(*(f.values for f in fields)))
+
+
 def build_grid(horizon: float, steps: int, topology: TreeTopology = TreeTopology.RECOMBINING) -> Lattice:
     """Build the lattice for a uniform grid; errors on empty grids and oversized trees."""
     return Lattice(TimeGrid(horizon, steps), topology)
@@ -207,20 +240,9 @@ class AdaptedField:
     __slots__ = ("lattice", "start", "values")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray], start: int = 0):
-        values = [np.asarray(v, dtype=float) for v in values]
-        if not values:
-            raise ValueError("adapted field needs at least one step of values")
-        if start < 0 or start + len(values) - 1 > lattice.steps:
-            raise ValueError("field step range outside the grid")
-        for offset, vec in enumerate(values):
-            expected = lattice.node_count(start + offset)
-            if vec.shape != (expected,):
-                raise ValueError(
-                    f"step {start + offset}: expected {expected} node values, got {vec.shape}"
-                )
         self.lattice = lattice
         self.start = start
-        self.values = values
+        self.values = lattice.per_step(values, start)
 
     @property
     def stop(self) -> int:
@@ -244,7 +266,7 @@ class AdaptedField:
 
     def sup_norm(self) -> float:
         """Boundedness certificate: the largest absolute node value."""
-        return max(float(np.max(np.abs(v))) for v in self.values)
+        return field_max(np.abs, self)
 
     def single(self, step: int) -> "AdaptedField":
         """The one-step field holding this field's values at `step`."""
@@ -280,20 +302,14 @@ class PredictableControl:
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray]):
-        values = [np.asarray(v, dtype=float) for v in values]
-        if len(values) != lattice.steps:
-            raise ValueError(f"control needs {lattice.steps} steps, got {len(values)}")
-        for k, vec in enumerate(values):
-            if vec.shape != (lattice.node_count(k),):
-                raise ValueError(f"step {k}: expected {lattice.node_count(k)} values")
         self.lattice = lattice
-        self.values = values
+        self.values = lattice.per_step(values, 0, lattice.steps - 1)
 
     def __getitem__(self, step: int) -> np.ndarray:
         return self.values[step]
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values)
+        return field_max(np.abs, self)
 
     def is_deterministic(self) -> bool:
         """True when every step carries a single value across nodes."""
@@ -331,12 +347,7 @@ class StoppingTime:
     __slots__ = ("lattice", "reached")
 
     def __init__(self, lattice: Lattice, reached: Sequence[np.ndarray]):
-        reached = [np.asarray(r, dtype=bool) for r in reached]
-        if len(reached) != lattice.steps + 1:
-            raise ValueError(f"need {lattice.steps + 1} step masks, got {len(reached)}")
-        for k, mask in enumerate(reached):
-            if mask.shape != (lattice.node_count(k),):
-                raise ValueError(f"step {k}: mask shape {mask.shape} mismatches node count")
+        reached = lattice.per_step(reached, 0, lattice.steps, dtype=bool)
         if not np.all(reached[lattice.steps]):
             raise ValueError("stopping time must reach the horizon on every path")
         for k in range(lattice.steps):
@@ -404,13 +415,8 @@ def hitting_time(lattice: Lattice, event: Sequence[np.ndarray]) -> StoppingTime:
     time into the absorbing closure of the event (the smallest family of
     per-node stop sets containing it).
     """
-    event = [np.asarray(e, dtype=bool) for e in event]
-    if len(event) != lattice.steps + 1:
-        raise ValueError(f"event needs {lattice.steps + 1} step masks, got {len(event)}")
     reached: list[np.ndarray] = []
-    for k, mask in enumerate(event):
-        if mask.shape != (lattice.node_count(k),):
-            raise ValueError(f"step {k}: event mask shape mismatches node count")
+    for k, mask in enumerate(lattice.per_step(event, 0, lattice.steps, dtype=bool)):
         reached.append(mask | (lattice.push(reached[k - 1], True, True) if k else False))
     reached[lattice.steps] = np.ones(lattice.node_count(lattice.steps), dtype=bool)
     return StoppingTime._trusted(lattice, reached)

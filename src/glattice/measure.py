@@ -42,10 +42,8 @@ class MeasureChange:
     def __init__(self, control: PredictableControl, up_prob: Sequence[np.ndarray]):
         self.lattice = control.lattice
         self.control = control
-        self.up_prob = [np.asarray(p, dtype=float) for p in up_prob]
+        self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
         for k, p in enumerate(self.up_prob):
-            if p.shape != (self.lattice.node_count(k),):
-                raise ValueError(f"step {k}: up_prob shape mismatches node count")
             if np.any(p <= 0.0) or np.any(p >= 1.0):
                 bad = int(np.flatnonzero((p <= 0.0) | (p >= 1.0))[0])
                 raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
@@ -162,10 +160,5 @@ def stop_control(control: PredictableControl, tau: StoppingTime) -> PredictableC
 
 def restrict_control(control: PredictableControl, masks: Sequence[np.ndarray]) -> PredictableControl:
     """Zero the control outside the predictable set given by per-step node masks."""
-    masks = [np.asarray(m, dtype=bool) for m in masks]
-    if len(masks) != control.lattice.steps:
-        raise ValueError(f"need {control.lattice.steps} step masks")
-    for k, m in enumerate(masks):
-        if m.shape != (control.lattice.node_count(k),):
-            raise ValueError(f"step {k}: mask shape mismatches node count")
+    masks = control.lattice.per_step(masks, 0, control.lattice.steps - 1, dtype=bool)
     return control.map(lambda k, q: np.where(masks[k], q, 0.0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -55,20 +55,20 @@ def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
     """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
     if not sigma.is_before(tau):
         raise ValueError("window needs sigma <= tau pointwise")
-    return _window_process(integrand_on_control(integrand, measure.control), measure, sigma, tau)
+    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure, sigma, tau)
+    return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
-def _window_process(fq: list[np.ndarray], measure: MeasureChange,
-                    sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
-    """The sweep behind `window_penalty_process`, given f(t_k, q_k) and an ordered window."""
+def _window_sweep(fq: list[np.ndarray], measure: MeasureChange,
+                  sigma: StoppingTime, tau: StoppingTime) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) and an ordered window."""
     lat = measure.lattice
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         inside = sigma.reached[k] & ~tau.reached[k]
         return np.where(inside, fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
 
-    values = [v for _, v in lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)]
-    return AdaptedField(lat, values[::-1], start=0)
+    return lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)
 
 
 @dataclass
@@ -122,11 +122,10 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
     if not (sigma.is_before(tau) and tau.is_before(upsilon)):
         raise ValueError("cocycle needs sigma <= tau <= upsilon pointwise")
     fq = integrand_on_control(integrand, measure.control)
-    whole = _window_process(fq, measure, sigma, upsilon)
-    head = _window_process(fq, measure, sigma, tau)
-    tail = _window_process(fq, measure, tau, upsilon)
     worst = 0.0
-    for w, h, t in zip(whole.values, head.values, tail.values):
+    for (_, w), (_, h), (_, t) in zip(_window_sweep(fq, measure, sigma, upsilon),
+                                      _window_sweep(fq, measure, sigma, tau),
+                                      _window_sweep(fq, measure, tau, upsilon)):
         combined_inf = np.isinf(h) | np.isinf(t)
         if not np.array_equal(np.isinf(w), combined_inf):
             return math.inf
@@ -209,11 +208,11 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
-    penalty = _window_process(fq, measure, StoppingTime.deterministic(lat, 0),
-                              StoppingTime.deterministic(lat, lat.steps))
+    penalty = _window_sweep(fq, measure, StoppingTime.deterministic(lat, 0),
+                            StoppingTime.deterministic(lat, lat.steps))
     expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
-    residual = max(float(np.max(np.abs(penalty[k] - (tail - acc.a[k]))))
-                   for k, tail in expected_tail)
+    residual = max(float(np.max(np.abs(c - (tail - acc.a[k]))))
+                   for (k, c), (_, tail) in zip(penalty, expected_tail))
     return DoobReport(increasing=acc, residual=residual)
 
 
@@ -320,7 +319,7 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *, seed: int =
         lam = np.ones(1)
         for k in range(lat.steps):
             down, up = lat.child_values(ys[k + 1])
-            z = (up - down) / (2.0 * sdt)
+            z = lat.increment(down, up)
             # the driver saw -z: the edge weights of the negated claim's solve
             tilt = np.asarray(slope(lat.grid.time(k), -z), dtype=float) * sdt / 2.0
             lam = lat.push(lam, 0.5 - tilt, 0.5 + tilt)
@@ -413,7 +412,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
 
     def root_penalty(ctrl: PredictableControl, fq: list[np.ndarray] | None = None) -> float:
         fq = integrand_on_control(integrand, ctrl) if fq is None else fq
-        return float(_window_process(fq, density_from_control(ctrl), start, stop)[0][0])
+        sweep = _window_sweep(fq, density_from_control(ctrl), start, stop)
+        return float(next(v for k, v in sweep if k == 0)[0])
 
     fq = integrand_on_control(integrand, control)
     full_value = root_penalty(control, fq)
@@ -437,7 +437,7 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
             stop_at = hitting_time(lat, [acc.a[k] >= n for k in range(lat.steps + 1)])
             vals.append(root_penalty(stop_control(control, stop_at)))
             if lat.topology is TreeTopology.FULL_BINARY:
-                stopped_cost = _value_at_stop(acc.a, stop_at)
+                stopped_cost = _stopped_process(acc.a, stop_at)[lat.steps]
             else:
                 step = int(np.flatnonzero([bool(m[0]) for m in stop_at.reached])[0])
                 stopped_cost = acc.a[step][:1]
@@ -453,19 +453,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
 # -- pathwise helpers (full binary) ------------------------------------------
 
 
-def _value_at_stop(process: AdaptedField, stop: StoppingTime) -> np.ndarray:
-    """Per-path value of an adapted process at a stopping time (full binary)."""
-    lat = process.lattice
-    steps = stop.step_on_paths()
-    out = np.empty(steps.size)
-    for k in np.unique(steps):
-        sel = steps == k
-        out[sel] = process[int(k)][lat.terminal_ancestors(int(k))[sel]]
-    return out
-
-
 def _stopped_process(process: AdaptedField, stop: StoppingTime) -> AdaptedField:
-    """Freeze an adapted process at a stopping time (full binary forward fill)."""
+    """Freeze an adapted process at a stopping time (full binary); the last step is X at tau per path."""
     lat = process.lattice
     vals = [process[0].copy()]
     for k in range(lat.steps):
@@ -484,7 +473,7 @@ def _window_utility_at_stop(driver: Driver, claim_frozen: AdaptedField,
         return np.where(tau.reached[k], claim_frozen[k], utility_step(k, down, up))
 
     fields = [v for _, v in lat.sweep(lat.steps, claim_frozen[lat.steps], step)]
-    return _value_at_stop(AdaptedField(lat, fields[::-1], start=0), sigma)
+    return _stopped_process(AdaptedField(lat, fields[::-1], start=0), sigma)[lat.steps]
 
 
 # -- supermartingale / appendix suite ----------------------------------------
@@ -577,9 +566,8 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
     fq = integrand_on_control(integrand, measure.control)
     for _ in range(trials):
         sigma, tau = random_stopping_pair(lat, rng)
-        from_sigma = _window_process(fq, measure, sigma, horizon)
-        from_tau = _window_process(fq, measure, tau, horizon)
-        for a, b in zip(from_sigma.values, from_tau.values):
+        for (_, a), (_, b) in zip(_window_sweep(fq, measure, sigma, horizon),
+                                  _window_sweep(fq, measure, tau, horizon)):
             finite = np.isfinite(a) & np.isfinite(b)
             if np.any(finite):
                 gap = float(np.max(b[finite] - a[finite]))
@@ -588,10 +576,11 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
                     violations += 1
 
         if oracle_part:
-            window_root = _window_process(fq, measure, sigma, tau)[0][0]
-            u_sigma = _value_at_stop(u_process, sigma)
-            u_tau = _value_at_stop(u_process, tau)
-            bound = float(weights @ (u_sigma - u_tau)) + eps
+            window_root = next(v for k, v in _window_sweep(fq, measure, sigma, tau) if k == 0)[0]
+            sigma_frozen = _stopped_process(u_process, sigma)
+            frozen = _stopped_process(u_process, tau)
+            u_tau = frozen[lat.steps]
+            bound = float(weights @ (sigma_frozen[lat.steps] - u_tau)) + eps
             margin = float(window_root) - bound
             lemma_worst = max(lemma_worst, margin)
             if margin > bsde.TOL_IDENTITY:
@@ -601,10 +590,8 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
             tail_claim = acceptable_claim - u_tau
             tail_u = bsde.utility_solution(
                 driver, AdaptedField(lat, [tail_claim], start=lat.steps)).y
-            res = float(np.max(np.abs(_value_at_stop(tail_u, tau))))
+            res = float(np.max(np.abs(_stopped_process(tail_u, tau)[lat.steps])))
             # u_tau(xi) - u_sigma(xi) is acceptable over [sigma, tau].
-            frozen = _stopped_process(u_process, tau)
-            sigma_frozen = _stopped_process(u_process, sigma)
             middle_claim = AdaptedField(
                 lat, [frozen[k] - sigma_frozen[k] for k in range(lat.steps + 1)], start=0)
             res = max(res, float(np.max(np.abs(
