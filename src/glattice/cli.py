@@ -87,6 +87,14 @@ def _count(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A whole number >= 0, the seed numpy's generators accept."""
+    seed = _count(value)
+    if seed < 0:
+        raise ValueError(f"not a non-negative seed: {value!r}")
+    return seed
+
+
 def _positive_finite(value) -> float:
     number = float(value)
     if not (math.isfinite(number) and number > 0):
@@ -232,7 +240,7 @@ class ExperimentConfig:
         _require_keys(tolerances, set(DEFAULT_TOLERANCES), "config.tolerances")
         cfg.tolerances = {k: _read(tolerances, k, _nonnegative_finite, v, "config.tolerances")
                           for k, v in DEFAULT_TOLERANCES.items()}
-        cfg.seed = _read(raw, "seed", _count, cfg.seed)
+        cfg.seed = _read(raw, "seed", _seed, cfg.seed)
         cfg.output = raw.get("output")
         tabulate = raw.get("tabulate", {})
         _require_keys(tabulate, set(TABULATE_DEFAULTS), "config.tabulate")
@@ -554,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("command", choices=[*COMMANDS, "conjugate"])
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=None, help="CSV output path (overrides config)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    parser.add_argument("--seed", default=None, help="master seed (overrides config)")
     args = parser.parse_args(argv)
 
     try:
@@ -564,7 +572,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("config must be a JSON object")
         config = ExperimentConfig.from_dict(raw)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = _read(vars(args), "seed", _seed, None, "options")
         if args.out is not None:
             config.output = args.out
     except (OSError, json.JSONDecodeError, ConfigError) as exc:

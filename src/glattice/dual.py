@@ -91,9 +91,6 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
             free = np.asarray(integrand.step_minimizer(t, zed), dtype=float)
             q = np.clip(free, -bound, bound)
             clamp = q != free
-        elif dom == 0.0:
-            q = np.zeros_like(zed)
-            clamp = np.zeros_like(zed, dtype=bool)
         else:
             lo = np.full_like(zed, max(-dom, -bound))
             hi = np.full_like(zed, min(dom, bound))

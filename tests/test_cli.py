@@ -196,10 +196,18 @@ class TestCommands:
                 ("price", {"tolerances": {"duality_gap": float("inf")}}),
                 ("price", {"tolerances": {"duality_gap": float("nan")}}),
                 ("price", {"seed": 1.5}),
-                ("converge", {"steps_list": [1, 2, 100000]})]:
+                ("converge", {"steps_list": [1, 2, 100000]}),
+                ("props", {"seed": -1})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["price", "penalty", "converge", "props", "conjugate"])
+    def test_negative_seed_option_is_config_error(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path, grid={"horizon": 1.0, "steps": 4}, steps_list=[4], trials=1)
+        assert main([command, "--config", cfg, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "failed:" not in err
 
     def test_module_error_exit_code(self, tmp_path, capsys):
         # inadmissible control: a module error surfaces as a failed run, not a crash

@@ -35,6 +35,20 @@ class TestDualUtility:
             assert np.allclose(sol.u[k], gl.expectation_under(fair, xi, k)[k], atol=1e-14)
         assert all(np.all(q == 0.0) for q in sol.argmin_control.values)
 
+    def test_gate_at_zero_without_minimiser_gives_plain_expectation(self):
+        # domain radius 0 and no minimiser: golden section on a zero-width bracket
+        lat = gl.build_grid(1.0, 32)
+        xi = gl.terminal_field(lat, np.random.default_rng(3).normal(size=33))
+        plain = dataclasses.replace(gl.fenchel(gl.entropic(1.0)), step_minimizer=None)
+        gated = gl.truncate_integrand(plain, 0.0)
+        assert gated.domain_radius == 0.0 and gated.step_minimizer is None
+        sol = gl.dual_utility(gated, xi)
+        fair = gl.density_from_control(gl.PredictableControl.constant(lat, 0.0))
+        for k in range(33):
+            assert np.array_equal(sol.u[k], gl.expectation_under(fair, xi, k)[k])
+        assert all(np.all(q == 0.0) for q in sol.argmin_control.values)
+        assert not sol.any_clamped
+
     def test_box_worst_case_drift(self):
         lat = gl.build_grid(1.0, 128)
         kappa = 0.4

@@ -375,3 +375,39 @@ class TestPredictableControl:
     def test_shape_validation(self, rec8):
         with pytest.raises(ValueError):
             gl.PredictableControl(rec8, [np.zeros(2)] * 8)
+
+
+# constructor -> (first step, last step, build from a lattice and per-step arrays);
+# the checked field is a one-step claim, so an empty list is its step too few
+SHAPE_CHECKED = {
+    "AdaptedField": (4, 4, lambda lat, arrays: gl.AdaptedField(lat, arrays, start=4)),
+    "PredictableControl": (0, 3, gl.PredictableControl),
+    "StoppingTime": (0, 4, gl.StoppingTime),
+    "hitting_time": (0, 4, gl.hitting_time),
+    "MeasureChange": (0, 3, lambda lat, arrays: gl.MeasureChange(
+        gl.PredictableControl.constant(lat, 0.0), arrays)),
+    "restrict_control": (0, 3, lambda lat, arrays: gl.restrict_control(
+        gl.PredictableControl.constant(lat, 0.0), arrays)),
+}
+
+
+class TestPerStepShapeCheck:
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    @pytest.mark.parametrize("fault", ["too_few", "too_many", "wrong_count"])
+    @pytest.mark.parametrize("name", sorted(SHAPE_CHECKED))
+    def test_fault_names_its_step(self, name, fault, topology):
+        lat = gl.build_grid(1.0, 4, topology)
+        first, last, build = SHAPE_CHECKED[name]
+        # 0.5 is an admissible value, probability and (as True) stop flag at every node
+        arrays = [np.full(lat.node_count(min(k, lat.steps)), 0.5) for k in range(first, last + 2)]
+        build(lat, arrays[:-1])  # the right shape passes
+        if fault == "too_few":
+            arrays, bad = arrays[:-2], last
+        elif fault == "too_many":
+            bad = last + 1
+        else:
+            bad = (first + last) // 2
+            arrays = arrays[:-1]
+            arrays[bad - first] = np.full(arrays[bad - first].size + 1, 0.5)
+        with pytest.raises(ValueError, match=rf"\bstep {bad}\b"):
+            build(lat, arrays)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glattice as gl
+from glattice.penalty import _stopped_process
 from conftest import random_control
 
 
@@ -407,3 +408,103 @@ def test_window_process_supermartingale_property(seed):
     late = gl.window_penalty_process(f, Q, tau, gl.StoppingTime.deterministic(lat, 16))
     for a, b in zip(early.values, late.values):
         assert np.all(b <= a + 1e-12)
+
+
+# -- reference implementations: the whole-field forms the streamed checks replaced
+
+
+def reference_cocycle_residual(f, Q, sigma, tau, upsilon):
+    """The cocycle loop over three collected window processes."""
+    whole = gl.window_penalty_process(f, Q, sigma, upsilon)
+    head = gl.window_penalty_process(f, Q, sigma, tau)
+    tail = gl.window_penalty_process(f, Q, tau, upsilon)
+    worst = 0.0
+    for w, h, t in zip(whole.values, head.values, tail.values):
+        combined_inf = np.isinf(h) | np.isinf(t)
+        if not np.array_equal(np.isinf(w), combined_inf):
+            return math.inf
+        ok = ~combined_inf
+        if np.any(ok):
+            worst = max(worst, float(np.max(np.abs(w[ok] - h[ok] - t[ok]))))
+    return worst
+
+
+def reference_supermartingale_inequality(f, Q, trials, seed):
+    """The suite's inequality loop over collected processes: (violations, worst gap)."""
+    lat = Q.lattice
+    rng = np.random.default_rng(seed)
+    horizon = gl.StoppingTime.deterministic(lat, lat.steps)
+    violations, worst = 0, 0.0
+    for _ in range(trials):
+        sigma, tau = gl.random_stopping_pair(lat, rng)
+        from_sigma = gl.window_penalty_process(f, Q, sigma, horizon)
+        from_tau = gl.window_penalty_process(f, Q, tau, horizon)
+        for a, b in zip(from_sigma.values, from_tau.values):
+            finite = np.isfinite(a) & np.isfinite(b)
+            if np.any(finite):
+                gap = float(np.max(b[finite] - a[finite]))
+                worst = max(worst, gap)
+                if gap > gl.bsde.TOL_IDENTITY:
+                    violations += 1
+    return violations, worst
+
+
+def reference_value_at_stop(process, stop):
+    """Per-path value of an adapted process at a stopping time, gathered by `step_on_paths`."""
+    lat = process.lattice
+    steps = stop.step_on_paths()
+    out = np.empty(steps.size)
+    for k in np.unique(steps):
+        sel = steps == k
+        out[sel] = process[int(k)][lat.terminal_ancestors(int(k))[sel]]
+    return out
+
+
+REFERENCE_INTEGRANDS = {
+    "entropic": gl.fenchel(gl.entropic(1.0, radius=8.0)),
+    "box": gl.fenchel(gl.abs_scaled(0.5)),  # +inf where the control leaves |q| <= 0.5
+    # negative costs break the supermartingale inequality, so the counts are not all zero
+    "negative": dataclasses.replace(gl.fenchel(gl.entropic(1.0, radius=8.0)), name="negative",
+                                    evaluate=lambda t, q: -np.asarray(q, dtype=float) ** 2),
+}
+
+
+def reference_case(topology, steps, seed, integrand):
+    """A lattice, an integrand, a random measure and the rng that drew it."""
+    lat = gl.build_grid(1.0, steps, topology)
+    rng = np.random.default_rng(seed)
+    measure = gl.density_from_control(random_control(lat, rng, 1.0))
+    return lat, REFERENCE_INTEGRANDS[integrand], measure, rng
+
+
+class TestStreamedChecksMatchReferences:
+    @given(topology=st.sampled_from(list(gl.TreeTopology)), steps=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), integrand=st.sampled_from(sorted(REFERENCE_INTEGRANDS)))
+    @settings(max_examples=60, deadline=None)
+    def test_cocycle_residual(self, topology, steps, seed, integrand):
+        lat, f, Q, rng = reference_case(topology, steps, seed, integrand)
+        sigma, tau = gl.random_stopping_pair(lat, rng)
+        upsilon = tau.maximum(gl.random_stopping_pair(lat, rng)[1])
+        assert gl.cocycle_residual(f, Q, sigma, tau, upsilon) == \
+            reference_cocycle_residual(f, Q, sigma, tau, upsilon)
+
+    @given(topology=st.sampled_from(list(gl.TreeTopology)), steps=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), integrand=st.sampled_from(sorted(REFERENCE_INTEGRANDS)))
+    @settings(max_examples=40, deadline=None)
+    def test_supermartingale_inequality(self, topology, steps, seed, integrand):
+        lat, f, Q, _ = reference_case(topology, steps, seed, integrand)
+        report = gl.supermartingale_suite(f, Q, trials=5, seed=seed)
+        assert (report.inequality_violations, report.inequality_worst) == \
+            reference_supermartingale_inequality(f, Q, 5, seed)
+
+    @given(steps=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stopped_process_ends_at_the_stopped_value(self, steps, seed):
+        # pathwise values need the full binary tree: one terminal node per path
+        lat = gl.build_grid(1.0, steps, gl.TreeTopology.FULL_BINARY)
+        rng = np.random.default_rng(seed)
+        process = gl.AdaptedField(lat, [rng.normal(size=lat.node_count(k))
+                                        for k in range(steps + 1)])
+        stop = gl.random_stopping_pair(lat, rng)[int(rng.integers(2))]
+        assert np.array_equal(_stopped_process(process, stop)[steps],
+                              reference_value_at_stop(process, stop))
