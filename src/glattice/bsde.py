@@ -276,7 +276,7 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
         # (f) time consistency: restart the solve from the step-k utility field.
         mid_claim = AdaptedField(lattice, [u_xi[k].copy()], start=k)
         restarted = utility_solution(driver, mid_claim).y
-        drift = field_max(lambda r, u: np.abs(r - u), restarted, u_xi)  # steps 0..k
+        drift = field_max(lambda r, u: np.abs(r - u), restarted, u_xi)  # restarted: steps 0..k
         checks["time_consistency"].record(drift, TOL_IDENTITY)
 
         if driver.positively_homogeneous:
