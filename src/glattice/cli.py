@@ -57,17 +57,28 @@ SUITES = ("axioms", "supermartingale", "monotone_family", "pasting", "truncation
 # nodes one `converge` ladder may sweep: about 12 s at ~11.6 ns per node
 CONVERGE_NODE_BUDGET = 10**9
 
+# Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
+BYTES_PER_NODE = {
+    "price": 3 * 8 + 1,  # the utility's y, the dual's u and argmin control; clamp flags
+    "penalty": 4 * 8 + 2,  # control, up-probabilities, f(t, q), window or cost; 2 stop masks
+    "supermartingale": 3 * 8 + 6,  # control, up-probabilities, f(t, q); 6 stop masks
+    "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f and up-probs; 4 masks
+    "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
+}
+BYTES_PER_ROW = 168  # one `conjugate` row: its CSV line and floats, by getrusage at 2e6 rows
+
 
 class ConfigError(ValueError):
     """The experiment configuration failed validation."""
 
 
-def _require_keys(mapping: dict, allowed: set[str], context: str):
+def _require_keys(mapping: dict, allowed, context: str) -> dict:
     if not isinstance(mapping, dict):
         raise ConfigError(f"{context} must be a JSON object, got {mapping!r}")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}; allowed: {sorted(allowed)}")
+    return mapping
 
 
 def _read(mapping: dict, key: str, convert, default, context: str = "config"):
@@ -76,37 +87,46 @@ def _read(mapping: dict, key: str, convert, default, context: str = "config"):
         return default
     try:
         return convert(mapping[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{context}.{key}: cannot read {mapping[key]!r} ({exc})") from None
 
 
-def _count(value) -> int:
-    """A whole number given as an integer or an integral float; booleans are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"not a whole number: {value!r}")
-    return int(value)
+def _whole(low: int):
+    """Reads a whole number >= low: an integer, an integral float or its text, never a boolean."""
+    def convert(value) -> int:
+        if (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+                or int(value) < low):
+            raise ValueError(f"not a whole number >= {low}")
+        return int(value)
+    return convert
 
 
-def _seed(value) -> int:
-    """A whole number >= 0, the seed numpy's generators accept."""
-    seed = _count(value)
-    if seed < 0:
-        raise ValueError(f"not a non-negative seed: {value!r}")
-    return seed
+def _finite(low: float = -math.inf, above: bool = False):
+    """Reads a finite number >= low (> low when `above`), never a boolean."""
+    def convert(value) -> float:
+        number = math.nan if isinstance(value, bool) else float(value)
+        if not (math.isfinite(number) and (number > low if above else number >= low)):
+            raise ValueError(f"not a finite number {'>' if above else '>='} {low:g}")
+        return number
+    return convert
 
 
-def _positive_finite(value) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise ValueError(f"not positive and finite: {value!r}")
-    return number
+def _list_of(item, increasing: bool = False, nonempty: bool = False):
+    """Reads a JSON list item by item; strictly increasing and non-empty when asked."""
+    def convert(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError("not a list")
+        items = tuple(map(item, value))
+        if (nonempty and not items) or (increasing and sorted(set(items)) != list(items)):
+            raise ValueError("empty" if not items else "not strictly increasing")
+        return items
+    return convert
 
 
-def _nonnegative_finite(value) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number >= 0):
-        raise ValueError(f"not nonnegative and finite: {value!r}")
-    return number
+def _path(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise ValueError("not a non-empty string")
+    return value
 
 
 def _suites(value) -> tuple[str, ...]:
@@ -213,43 +233,28 @@ class ExperimentConfig:
         cfg = cls()
         cfg.driver_spec = raw.get("driver", cfg.driver_spec)
         cfg.integrand_spec = raw.get("integrand", cfg.integrand_spec)
-        grid = raw.get("grid", {})
-        _require_keys(grid, {"horizon", "steps", "topology"}, "config.grid")
-        cfg.horizon = _read(grid, "horizon", _positive_finite, cfg.horizon, "config.grid")
-        cfg.steps = _read(grid, "steps", _count, cfg.steps, "config.grid")
-        cfg.topology = _read(grid, "topology", TreeTopology, cfg.topology, "config.grid")
-        cfg.steps_list = _read(raw, "steps_list", lambda v: tuple(_count(n) for n in v), ())
-        if any(b <= a for a, b in zip((0,) + cfg.steps_list, cfg.steps_list)):
-            raise ConfigError("steps_list must be strictly increasing step counts >= 1")
-        if cfg.topology is TreeTopology.FULL_BINARY:
-            largest = max((cfg.steps,) + cfg.steps_list)
-            if largest > FULL_BINARY_MAX_STEPS:
-                raise ConfigError(f"full binary trees are limited to {FULL_BINARY_MAX_STEPS} "
-                                  f"steps, got {largest}")
         cfg.claim_spec = raw.get("claim", cfg.claim_spec)
         cfg.control_spec = raw.get("control", cfg.control_spec)
+        grid = _require_keys(raw.get("grid", {}), {"horizon", "steps", "topology"}, "config.grid")
+        cfg.horizon = _read(grid, "horizon", _finite(0.0, above=True), cfg.horizon, "config.grid")
+        cfg.steps = _read(grid, "steps", _whole(1), cfg.steps, "config.grid")
+        cfg.topology = _read(grid, "topology", TreeTopology, cfg.topology, "config.grid")
+        cfg.steps_list = _read(raw, "steps_list", _list_of(_whole(1), increasing=True), ())
         cfg.suites = _read(raw, "suites", _suites, cfg.suites)
-        cfg.trials = _read(raw, "trials", _count, cfg.trials)
-        if cfg.steps < 1 or cfg.trials < 1:
-            raise ConfigError(f"grid.steps and trials must be >= 1, got {cfg.steps} and {cfg.trials}")
-        cfg.levels = _read(raw, "levels", lambda v: tuple(_nonnegative_finite(x) for x in v),
+        cfg.trials = _read(raw, "trials", _whole(1), cfg.trials)
+        cfg.levels = _read(raw, "levels", _list_of(_finite(0.0), increasing=True, nonempty=True),
                            cfg.levels)
-        if not cfg.levels or any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
-            raise ConfigError("levels must be a non-empty, strictly increasing list")
-        tolerances = raw.get("tolerances", {})
-        _require_keys(tolerances, set(DEFAULT_TOLERANCES), "config.tolerances")
-        cfg.tolerances = {k: _read(tolerances, k, _nonnegative_finite, v, "config.tolerances")
+        tolerances = _require_keys(raw.get("tolerances", {}), DEFAULT_TOLERANCES, "config.tolerances")
+        cfg.tolerances = {k: _read(tolerances, k, _finite(0.0), v, "config.tolerances")
                           for k, v in DEFAULT_TOLERANCES.items()}
-        cfg.seed = _read(raw, "seed", _seed, cfg.seed)
-        cfg.output = raw.get("output")
-        tabulate = raw.get("tabulate", {})
-        _require_keys(tabulate, set(TABULATE_DEFAULTS), "config.tabulate")
-        converters = {"q_min": float, "q_max": float, "points": _count,
-                      "times": lambda v: tuple(float(t) for t in v)}
+        cfg.seed = _read(raw, "seed", _whole(0), cfg.seed)
+        cfg.output = _read(raw, "output", _path, cfg.output)
+        tabulate = _require_keys(raw.get("tabulate", {}), TABULATE_DEFAULTS, "config.tabulate")
+        converters = dict(q_min=_finite(), q_max=_finite(), points=_whole(2), times=_list_of(_finite()))
         cfg.tabulate = {k: _read(tabulate, k, convert, TABULATE_DEFAULTS[k], "config.tabulate")
                         for k, convert in converters.items()}
-        if cfg.tabulate["q_max"] <= cfg.tabulate["q_min"] or cfg.tabulate["points"] < 2:
-            raise ConfigError("tabulate needs q_min < q_max and points >= 2")
+        if not 0.0 < cfg.tabulate["q_max"] - cfg.tabulate["q_min"] < math.inf:
+            raise ConfigError("tabulate needs q_min < q_max, a finite distance apart")
         return cfg
 
     def tolerance(self, name: str) -> float:
@@ -324,17 +329,26 @@ def closed_form_reference(config: ExperimentConfig) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
-def _refuse_oversized(command: str, lattice: Lattice, bytes_per_node: int) -> None:
-    """Config error when the node fields a command holds at once exceed physical memory."""
-    nodes = node_total(lattice.topology, lattice.steps)
-    estimate = nodes * bytes_per_node
+def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
+    """Config error for a size the command must not run at, judged before anything is built."""
+    steps = config.steps_list if command == "converge" else (config.steps,)
+    if config.topology is TreeTopology.FULL_BINARY and max((0, *steps)) > FULL_BINARY_MAX_STEPS:
+        raise ConfigError(f"full binary trees are limited to {FULL_BINARY_MAX_STEPS} steps, "
+                          f"got {max(steps)}")
+    nodes = sum(node_total(config.topology, n) for n in steps)
+    if command == "converge" and not 0 < nodes <= CONVERGE_NODE_BUDGET:
+        raise ConfigError(f"converge needs a steps_list that sweeps at most {CONVERGE_NODE_BUDGET} "
+                          f"nodes, got {list(steps)} ({nodes} nodes)")
+    held = max(nodes * BYTES_PER_NODE.get(name, 0)
+               for name in (config.suites if command == "props" else [command]))
+    if command == "conjugate":
+        held = config.tabulate["points"] * len(config.tabulate["times"]) * BYTES_PER_ROW
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no budget
         return
-    if estimate > physical:
-        raise ConfigError(f"{command} at {lattice.steps} steps would hold about "
-                          f"{estimate / 2**30:.1f} GiB of node fields ({nodes} nodes each), "
+    if held > physical:
+        raise ConfigError(f"{command} would hold about {held / 2**30:.1f} GiB at this size, "
                           f"more than the {physical / 2**30:.1f} GiB of physical memory")
 
 
@@ -342,8 +356,6 @@ def cmd_price(config: ExperimentConfig) -> RunReport:
     """Price a claim twice (driver recursion and dual recursion) and compare."""
     report = RunReport("price", config.seed, __version__)
     lattice = config.build_lattice()
-    # the utility's y and z, the dual's u and argmin control (float64), its clamp flags (bool)
-    _refuse_oversized("price", lattice, 4 * 8 + 1)
     driver = config.build_driver()
     claim = config.build_claim(lattice)
     fixture = f"{config.driver_spec};{config.claim_spec};N={lattice.steps}"
@@ -370,8 +382,6 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
     """Penalty of a configured control: formula value, oracle, cocycle and Doob checks."""
     report = RunReport("penalty", config.seed, __version__)
     lattice = config.build_lattice()
-    # control, up-probabilities, f(t, q) and the cocycle's three window processes (float64)
-    _refuse_oversized("penalty", lattice, 6 * 8)
     driver = config.build_driver()
     integrand = config.build_integrand(driver)
     control = config.build_control(lattice)
@@ -413,12 +423,6 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
 def cmd_converge(config: ExperimentConfig) -> RunReport:
     """Error-vs-steps sweep of the lattice price against a closed form."""
     report = RunReport("converge", config.seed, __version__)
-    if not config.steps_list:
-        raise ConfigError("converge needs a strictly increasing steps_list")
-    swept = sum(node_total(config.topology, steps) for steps in config.steps_list)
-    if swept > CONVERGE_NODE_BUDGET:
-        raise ConfigError(f"converge over steps_list {list(config.steps_list)} would sweep "
-                          f"{swept} nodes, more than the budget of {CONVERGE_NODE_BUDGET}")
     reference = closed_form_reference(config)
     driver = config.build_driver()
     errors = []
@@ -472,12 +476,11 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
 
     if "supermartingale" in config.suites:
         lattice = config.build_lattice()
-        control = config.build_control(lattice)
-        measure = density_from_control(control)
         oracle_driver = driver if (lattice.topology is TreeTopology.FULL_BINARY
                                    and lattice.steps <= 4) else None
-        sup = penalty.supermartingale_suite(integrand, measure, trials=config.trials,
-                                            seed=config.seed, driver=oracle_driver)
+        sup = penalty.supermartingale_suite(
+            integrand, density_from_control(config.build_control(lattice)),
+            trials=config.trials, seed=config.seed, driver=oracle_driver)
         report.add("supermartingale.violations", config.control_spec,
                    sup.inequality_violations, 0, identity_tol,
                    sup.inequality_violations == 0)
@@ -513,8 +516,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
         report.add("pasting_increments", config.driver_spec, worst, 0.0, 0.0, ok)
 
     if "truncation" in config.suites:
-        lattice = config.build_lattice()
-        control = config.build_control(lattice)
+        control = config.build_control(config.build_lattice())
         outcome = penalty.truncation_convergence(integrand, control, config.levels)
         report.add("truncation_monotone", config.control_spec,
                    list(outcome.gated_values)[-1] if outcome.gated_values else 0.0,
@@ -567,15 +569,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        config = ExperimentConfig.from_dict(raw)
-        if args.seed is not None:
-            config.seed = _read(vars(args), "seed", _seed, None, "options")
-        if args.out is not None:
-            config.output = args.out
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            config = ExperimentConfig.from_dict(json.load(handle))
+        options = {key: value for key, value in vars(args).items() if value is not None}
+        config.seed = _read(options, "seed", _whole(0), config.seed, "options")
+        config.output = _read(options, "out", _path, config.output, "options")
+        _refuse_oversized(args.command, config)
+    except (OSError, ValueError) as exc:  # ValueError covers ConfigError and undecodable JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
