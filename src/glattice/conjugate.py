@@ -198,14 +198,6 @@ def inverse_fenchel(integrand: PenaltyIntegrand, *, search_radius: float | None 
         if search_radius is None:
             raise ValueError("integrand has unbounded domain; pass search_radius")
         radius = search_radius
-    if radius == 0.0:
-        # Only q = 0 feasible and f(0) = 0: the conjugate collapses to zero.
-        origin = 0.0 if integrand.dim == 1 else np.zeros(integrand.dim)
-        if not np.isfinite(float(np.asarray(integrand(0.0, origin)))):
-            raise ValueError("empty effective domain: integrand infinite at the origin")
-        return Driver(name=f"conjugate[{integrand.name}]",
-                      evaluate=lambda t, z: _magnitude(z, integrand.dim) * 0.0,
-                      lipschitz=0.0, convex=True, dim=integrand.dim)
 
     def evaluate(t, z, _radius=radius):
         return grid_sup_of_linear_minus(integrand.evaluate, t, z, _radius, integrand.dim)

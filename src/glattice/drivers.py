@@ -220,6 +220,11 @@ def parse_spec(text: str) -> Driver:
 
 # -- assumption probes ----------------------------------------------------
 
+PROBE_TIMES = (0.0, 0.25, 0.5, 1.0)  # where g(t, 0) = 0 is checked
+PROBE_SAMPLES = 2000  # random z pairs per Lipschitz or convexity probe
+ZERO_TOL = 1e-14
+CONVEX_TOL = 1e-12
+
 
 @dataclass
 class ProbeReport:
@@ -232,22 +237,20 @@ class ProbeReport:
         return self.passed
 
 
-def probe_zero(driver: Driver, time_samples: Sequence[float] | None = None,
-               tol: float = 1e-14) -> ProbeReport:
-    """Check the normalisation g(t, 0) = 0 at sampled times."""
-    times = list(time_samples) if time_samples is not None else [0.0, 0.25, 0.5, 1.0]
+def probe_zero(driver: Driver) -> ProbeReport:
+    """Check the normalisation g(t, 0) = 0 at the probe times."""
     origin = 0.0 if driver.dim == 1 else np.zeros(driver.dim)
     worst = 0.0
     failures = []
-    for t in times:
+    for t in PROBE_TIMES:
         val = float(driver(t, origin))
         worst = max(worst, abs(val))
-        if abs(val) > tol:
+        if abs(val) > ZERO_TOL:
             failures.append((t, val))
     return ProbeReport("zero_at_origin", not failures, worst, failures)
 
 
-def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = 2000,
+def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = PROBE_SAMPLES,
                     seed: int = 0) -> ProbeReport:
     """Largest sampled difference quotient, compared against the declared constant."""
     if domain_radius <= 0:
@@ -267,19 +270,18 @@ def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = 20
                        [] if passed else [("estimate", estimate, "declared", declared)])
 
 
-def probe_convex(driver: Driver, domain_radius: float, sample_count: int = 2000,
-                 seed: int = 0, tol: float = 1e-12) -> ProbeReport:
+def probe_convex(driver: Driver, domain_radius: float, seed: int = 0) -> ProbeReport:
     """Midpoint convexity on sampled pairs."""
     if domain_radius <= 0:
         raise ValueError("domain_radius must be positive")
     rng = np.random.default_rng(seed)
-    shape = (sample_count,) if driver.dim == 1 else (sample_count, driver.dim)
+    shape = (PROBE_SAMPLES,) if driver.dim == 1 else (PROBE_SAMPLES, driver.dim)
     z0 = rng.uniform(-domain_radius, domain_radius, size=shape)
     z1 = rng.uniform(-domain_radius, domain_radius, size=shape)
     mid = np.asarray(driver(0.0, (z0 + z1) / 2.0), dtype=float)
     avg = (np.asarray(driver(0.0, z0), dtype=float) + np.asarray(driver(0.0, z1), dtype=float)) / 2.0
     excess = mid - avg
     worst = float(np.max(excess))
-    bad = np.flatnonzero(excess > tol)
+    bad = np.flatnonzero(excess > CONVEX_TOL)
     failures = [(z0[i], z1[i], float(excess[i])) for i in bad[:5]]
-    return ProbeReport("convex", worst <= tol, worst, failures)
+    return ProbeReport("convex", worst <= CONVEX_TOL, worst, failures)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import glattice as gl
+
+# ten times the default examples; CI runs the config property test under it
+settings.register_profile("ci", max_examples=1000)
 
 
 @pytest.fixture

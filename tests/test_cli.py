@@ -5,9 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import glattice as gl
 from glattice.cli import (CLAIMS, CONTROLS, DRIVERS, INTEGRANDS, ConfigError, ExperimentConfig,
                           closed_form_reference, main)
+from conftest import max_field_diff
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +87,58 @@ class TestClosedForms:
                                           "grid": {"horizon": 1.0, "steps": 8}})
         with pytest.raises(ConfigError, match="closed-form"):
             closed_form_reference(cfg)
+
+
+class TestTableEntries:
+    """Table entries and closed forms a config reaches, each against an independent value."""
+
+    def test_box_integrand_prices_like_its_driver(self, rec64):
+        driver = DRIVERS["abs"](0.5)
+        claim = CLAIMS["call"](rec64, 0.2)
+        dual_root = gl.dual_utility(INTEGRANDS["box"](driver, 0.5), claim).u[0][0]
+        assert abs(dual_root - gl.utility_solution(driver, claim).y[0][0]) <= 1e-10
+
+    def test_origin_integrand_gives_the_fair_coin_expectation(self, rec8):
+        claim = CLAIMS["abs_brownian"](rec8)
+        fair = sum(math.comb(8, j) * v for j, v in enumerate(claim[8])) / 2**8
+        dual_root = gl.dual_utility(INTEGRANDS["origin"](DRIVERS["zero"]()), claim).u[0][0]
+        assert abs(dual_root - fair) <= 1e-12
+
+    def test_quadratic_integrand_matches_entropic_where_no_clamp_binds(self, rec64):
+        claim = CLAIMS["call"](rec64, 0.0)
+        solution = gl.dual_utility(INTEGRANDS["quadratic"](DRIVERS["zero"](), 1.0), claim)
+        assert not solution.any_clamped
+        utility = gl.utility_solution(DRIVERS["entropic"](1.0), claim).y
+        assert max_field_diff(solution.u, utility) <= 1e-10
+
+    def test_constant_claim_fills_the_horizon(self, rec8):
+        assert np.array_equal(CLAIMS["constant"](rec8, 2.5)[8], np.full(9, 2.5))
+
+    @given(driver=st.sampled_from(["zero", "interval:-0.4,0.3", "linear:0.3", "linear:-1.2"]),
+           steps=st.integers(1, 10), full=st.booleans(), horizon=st.floats(0.25, 4.0))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_closed_forms_equal_the_lattice_root(self, driver, steps, full, horizon):
+        claim = "constant:1.5" if driver == "zero" else "brownian"
+        cfg = ExperimentConfig.from_dict({"driver": driver, "claim": claim, "grid": {
+            "horizon": horizon, "steps": steps,
+            "topology": "full_binary" if full else "recombining"}})
+        root = gl.utility(cfg.build_driver(), cfg.build_claim(cfg.build_lattice()), 0)[0][0]
+        assert abs(root - closed_form_reference(cfg)) <= 1e-12
+
+    def test_call_closed_form_within_final_error(self):
+        cfg = ExperimentConfig.from_dict({"claim": "call:0.2", "grid": {"steps": 2048}})
+        root = gl.utility(cfg.build_driver(), cfg.build_claim(cfg.build_lattice()), 0)[0][0]
+        assert abs(root - closed_form_reference(cfg)) <= cfg.tolerance("final_error")
+
+    def test_props_runs_the_oracle_part_on_a_desk_grid(self, tmp_path):
+        out = tmp_path / "props.csv"
+        cfg = write_config(tmp_path, driver="entropic:1,16", control="constant:0.4", trials=5,
+                           suites=["supermartingale"],
+                           grid={"horizon": 1.0, "steps": 3, "topology": "full_binary"})
+        assert main(["props", "--config", cfg, "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",")[-1] for line in out.read_text().splitlines()}
+        assert rows["near_optimal_bound.violations"] == "true"
+        assert rows["acceptance_decomposition"] == "true"
 
 
 class TestCommands:
@@ -197,7 +253,16 @@ class TestCommands:
                 ("price", {"tolerances": {"duality_gap": float("nan")}}),
                 ("price", {"seed": 1.5}),
                 ("converge", {"steps_list": [1, 2, 100000]}),
-                ("props", {"seed": -1})]:
+                ("props", {"seed": -1}),
+                ("price", {"output": True}),
+                ("price", {"output": 5}),
+                ("price", {"output": ["a"]}),
+                ("conjugate", {"tabulate": {"q_min": float("nan")}}),
+                ("conjugate", {"tabulate": {"times": [float("inf")]}}),
+                ("conjugate", {"tabulate": {"q_min": -1e308, "q_max": 1e308}}),
+                ("price", {"grid": {"horizon": True}}),
+                ("price", {"grid": {"steps": 10**10}}),
+                ("penalty", {"grid": {"steps": 10**10}})]:
             cfg = write_config(tmp_path, **entries)
             assert main([command, "--config", cfg]) == 2, entries
         assert "Traceback" not in capsys.readouterr().err
@@ -208,6 +273,23 @@ class TestCommands:
         assert main([command, "--config", cfg, "--seed", "-1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "failed:" not in err
+
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{")
+        assert main(["price", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_refused_before_anything_is_built(self, tmp_path, monkeypatch, capsys):
+        limit_physical_memory(monkeypatch, 4 * 2**20)
+        cases = [("price", {"output": True}), ("conjugate", {"tabulate": {"q_min": float("nan")}}),
+                 ("price", {"grid": {"steps": 10**10}}), ("penalty", {"grid": {"steps": 10**10}}),
+                 ("props", {"grid": {"steps": 100000}, "suites": ["pasting"]}),
+                 ("conjugate", {"tabulate": {"points": 10**11}})]
+        for command, entries in cases:
+            assert main([command, "--config", write_config(tmp_path, **entries)]) == 2, entries
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "failed:" not in err, err
 
     def test_module_error_exit_code(self, tmp_path, capsys):
         # inadmissible control: a module error surfaces as a failed run, not a crash
@@ -300,3 +382,43 @@ class TestDeterminism:
         config = ROOT / "configs" / f"{name}.json"
         assert main([name, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()
+
+
+def limit_physical_memory(monkeypatch, nbytes):
+    """Make the size rule see `nbytes` of physical memory."""
+    values = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr("glattice.cli.os.sysconf", values.__getitem__)
+
+
+class TestSizeRule:
+    """Commands sized from the config against a small physical memory; nothing big is built."""
+
+    # 128 recombining steps: 8385 nodes; 384 KiB lies between 34 and 48 bytes a node
+    GRID = {"horizon": 1.0, "steps": 128}
+    PHYSICAL = 384 * 1024
+
+    def test_penalty_fits_four_fields_and_two_masks(self, tmp_path, monkeypatch, capsys):
+        limit_physical_memory(monkeypatch, self.PHYSICAL)
+        cfg = write_config(tmp_path, driver="entropic:1", control="constant:0.2", grid=self.GRID)
+        assert main(["penalty", "--config", cfg]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,code", [("pasting", 2), ("biconjugate", 0)])
+    def test_props_counts_the_grid_suites_it_runs(self, suite, code, tmp_path, monkeypatch,
+                                                  capsys):
+        limit_physical_memory(monkeypatch, self.PHYSICAL)
+        cfg = write_config(tmp_path, driver="entropic:1", suites=[suite], trials=1,
+                           grid=self.GRID)
+        assert main(["props", "--config", cfg]) == code
+        assert capsys.readouterr().err.startswith("config error:") == (code == 2)
+
+    def test_price_at_ten_billion_steps_is_refused(self, tmp_path, monkeypatch, capsys):
+        limit_physical_memory(monkeypatch, 4 * 2**20)
+        cfg = write_config(tmp_path, grid={"horizon": 1.0, "steps": 10**10})
+        assert main(["price", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: price would hold")
+
+    def test_conjugate_counts_its_rows(self, tmp_path, monkeypatch, capsys):
+        limit_physical_memory(monkeypatch, 4 * 2**20)
+        cfg = write_config(tmp_path, driver="abs:0.5", tabulate={"points": 20000, "times": [0, 1]})
+        assert main(["conjugate", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: conjugate would hold")

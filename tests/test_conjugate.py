@@ -175,6 +175,22 @@ class TestInverseFenchel:
         g = gl.inverse_fenchel(f)
         assert float(g(0.0, 1.7)) == 0.0
 
+    @pytest.mark.parametrize("integrand", [
+        gl.fenchel(gl.zero()),
+        gl.truncate_integrand(gl.fenchel(gl.entropic(1.0)), 0.0),
+        gl.truncate_integrand(gl.fenchel(gl.abs_scaled(0.5)), 0.0)], ids=lambda f: f.name)
+    def test_radius_zero_recovers_the_zero_driver(self, integrand):
+        assert integrand.domain_radius == 0.0
+        g = gl.inverse_fenchel(integrand)
+        assert (g.name, g.lipschitz, g.convex, g.dim) == (f"conjugate[{integrand.name}]", 0.0,
+                                                          True, integrand.dim)
+        zs = np.linspace(-4.0, 4.0, 81)
+        assert np.all(np.asarray(g(0.0, zs)) == 0.0)
+        nowhere = dataclasses.replace(
+            integrand, evaluate=lambda t, q: np.full_like(np.asarray(q, dtype=float), np.inf))
+        with pytest.raises(ValueError, match="empty effective domain"):
+            gl.inverse_fenchel(nowhere)
+
     def test_interval_indicator_gives_scaled_abs(self):
         mu = 0.8
         f = PenaltyIntegrand(

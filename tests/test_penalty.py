@@ -87,6 +87,14 @@ class TestPrimalOracle:
         res = gl.penalty_primal_oracle(gl.abs_scaled(1.0), Q, seed=0)
         assert abs(res.value) <= 1e-6
 
+    def test_finite_difference_slope_without_subgradient(self, full3):
+        driver = gl.entropic(1.0, radius=16.0)
+        Q = gl.density_from_control(gl.PredictableControl.constant(full3, 0.4))
+        res = gl.penalty_primal_oracle(dataclasses.replace(driver, subgradient=None), Q, seed=0)
+        formula = gl.penalty_formula(gl.fenchel(driver), Q, 0, 3).initial()
+        assert res.converged
+        assert abs(res.value - formula) <= 1e-6
+
     def test_gradient_matches_finite_differences(self, full3):
         driver = gl.entropic(1.0, radius=16.0)
         Q = gl.density_from_control(gl.PredictableControl.constant(full3, 0.4))
