@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,20 +54,22 @@ def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableContro
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
                            sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
     """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
-    if not sigma.is_before(tau):
-        raise ValueError("window needs sigma <= tau pointwise")
-    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure, sigma, tau)
+    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure,
+                          between_masks(sigma, tau))
     return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
 def _window_sweep(fq: list[np.ndarray], measure: MeasureChange,
-                  sigma: StoppingTime, tau: StoppingTime) -> Iterator[tuple[int, np.ndarray]]:
-    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) and an ordered window."""
+                  inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) and the window's indicators.
+
+    `inside[k]` flags the step-k nodes whose transition lies in the window: a
+    `between_masks` mask, or one bool per step for a deterministic window.
+    """
     lat = measure.lattice
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        inside = sigma.reached[k] & ~tau.reached[k]
-        return np.where(inside, fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
+        return np.where(inside[k], fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
 
     return lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)
 
@@ -76,8 +79,6 @@ class PenaltyField:
     """Penalty values c_{k,t}(Q) for k = s..t, nonnegative and zero at the right endpoint."""
 
     values: AdaptedField
-    integrand: PenaltyIntegrand
-    control: PredictableControl
 
     @property
     def start(self) -> int:
@@ -101,13 +102,10 @@ def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    process = window_penalty_process(
-        integrand, measure,
-        StoppingTime.deterministic(lat, start),
-        StoppingTime.deterministic(lat, stop),
-    )
-    window = AdaptedField(lat, [process[k] for k in range(start, stop + 1)], start=start)
-    return PenaltyField(values=window, integrand=integrand, control=measure.control)
+    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure,
+                          [start <= k < stop for k in range(lat.steps)])
+    window = [v for _, v in islice(sweep, lat.steps - stop, lat.steps - start + 1)]
+    return PenaltyField(AdaptedField(lat, window[::-1], start=start))
 
 
 def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
@@ -119,13 +117,13 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
     case of evaluation at sigma.  Returns +inf if the infinite-penalty node
     sets of the three processes are inconsistent.
     """
-    if not (sigma.is_before(tau) and tau.is_before(upsilon)):
-        raise ValueError("cocycle needs sigma <= tau <= upsilon pointwise")
+    head, tail = between_masks(sigma, tau), between_masks(tau, upsilon)
+    whole = [h | t for h, t in zip(head, tail)]
     fq = integrand_on_control(integrand, measure.control)
     worst = 0.0
-    for (_, w), (_, h), (_, t) in zip(_window_sweep(fq, measure, sigma, upsilon),
-                                      _window_sweep(fq, measure, sigma, tau),
-                                      _window_sweep(fq, measure, tau, upsilon)):
+    for (_, w), (_, h), (_, t) in zip(_window_sweep(fq, measure, whole),
+                                      _window_sweep(fq, measure, head),
+                                      _window_sweep(fq, measure, tail)):
         combined_inf = np.isinf(h) | np.isinf(t)
         if not np.array_equal(np.isinf(w), combined_inf):
             return math.inf
@@ -208,8 +206,7 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
-    penalty = _window_sweep(fq, measure, StoppingTime.deterministic(lat, 0),
-                            StoppingTime.deterministic(lat, lat.steps))
+    penalty = _window_sweep(fq, measure, [True] * lat.steps)
     expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
     residual = max(float(np.max(np.abs(c - (tail - acc.a[k]))))
                    for (k, c), (_, tail) in zip(penalty, expected_tail))
@@ -408,11 +405,11 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
 
-    start, stop = StoppingTime.deterministic(lat, 0), StoppingTime.deterministic(lat, lat.steps)
+    whole = [True] * lat.steps
 
     def root_penalty(ctrl: PredictableControl, fq: list[np.ndarray] | None = None) -> float:
         fq = integrand_on_control(integrand, ctrl) if fq is None else fq
-        sweep = _window_sweep(fq, density_from_control(ctrl), start, stop)
+        sweep = _window_sweep(fq, density_from_control(ctrl), whole)
         return float(next(v for k, v in sweep if k == 0)[0])
 
     fq = integrand_on_control(integrand, control)
@@ -533,7 +530,6 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
     """
     lat = measure.lattice
     rng = np.random.default_rng(seed)
-    horizon = StoppingTime.deterministic(lat, lat.steps)
 
     worst_inequality = 0.0
     violations = 0
@@ -562,12 +558,12 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
         lemma_worst = -math.inf
         acceptance_residual = 0.0
 
-    # random_stopping_pair orders sigma <= tau, and every time is <= the horizon
+    # ]]sigma, N]] is sigma.reached, and random_stopping_pair orders sigma <= tau
     fq = integrand_on_control(integrand, measure.control)
     for _ in range(trials):
         sigma, tau = random_stopping_pair(lat, rng)
-        for (_, a), (_, b) in zip(_window_sweep(fq, measure, sigma, horizon),
-                                  _window_sweep(fq, measure, tau, horizon)):
+        for (_, a), (_, b) in zip(_window_sweep(fq, measure, sigma.reached),
+                                  _window_sweep(fq, measure, tau.reached)):
             finite = np.isfinite(a) & np.isfinite(b)
             if np.any(finite):
                 gap = float(np.max(b[finite] - a[finite]))
@@ -576,7 +572,8 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
                     violations += 1
 
         if oracle_part:
-            window_root = next(v for k, v in _window_sweep(fq, measure, sigma, tau) if k == 0)[0]
+            window = _window_sweep(fq, measure, between_masks(sigma, tau))
+            window_root = next(v for k, v in window if k == 0)[0]
             sigma_frozen = _stopped_process(u_process, sigma)
             frozen = _stopped_process(u_process, tau)
             u_tau = frozen[lat.steps]
