@@ -124,8 +124,13 @@ def _list_of(item, increasing: bool = False, nonempty: bool = False):
 
 
 def _path(value) -> str:
+    """Reads an output file path: not a directory, and in a directory that exists."""
     if not (isinstance(value, str) and value):
         raise ValueError("not a non-empty string")
+    if os.path.isdir(value):
+        raise ValueError("names a directory")
+    if not os.path.isdir(os.path.dirname(value) or "."):
+        raise ValueError("its directory does not exist")
     return value
 
 
@@ -305,8 +310,9 @@ def closed_form_reference(config: ExperimentConfig) -> float:
         if claim_name == "call":
             strike = c.arguments["strike"]
             std = math.sqrt(horizon)
-            pdf = math.exp(-(strike / std) ** 2 / 2.0) / math.sqrt(2.0 * math.pi)
-            return std * pdf - strike * _normal_cdf(-strike / std)
+            x = strike / std  # x * x is inf, not OverflowError, for a huge strike
+            pdf = math.exp(-(x * x) / 2.0) / math.sqrt(2.0 * math.pi)
+            return std * pdf - strike * _normal_cdf(-x)
         if claim_name == "constant":
             return c.arguments["value"]
     if claim_name == "brownian":
@@ -500,9 +506,10 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
         lattice = config.build_lattice()
         worst = 0.0
         ok = True
+        # amplitudes keep |q| sqrt(dt) <= 0.8; the range is [0.1, high] unless dt > 16
+        high = min(1.5, 0.8 / lattice.sqrt_dt)
         for _ in range(10):
-            bound = 0.8 / lattice.sqrt_dt
-            amp1, amp2 = rng.uniform(0.1, min(1.5, bound), size=2)
+            amp1, amp2 = rng.uniform(min(0.1, high / 2), high, size=2)
             q1 = PredictableControl.from_state_function(
                 lattice, lambda t, level, a=amp1: a * np.tanh(level))
             q2 = PredictableControl.from_state_function(

@@ -297,6 +297,32 @@ class TestCommands:
                            grid={"horizon": 1.0, "steps": 4}, suites=["supermartingale"])
         assert main(["props", "--config", cfg]) == 1
 
+    def test_pasting_runs_once_dt_exceeds_sixty_four(self, tmp_path, capsys):
+        # dt = 125: the amplitude bound 0.8 / sqrt(dt) lies below 0.1
+        out = tmp_path / "props.csv"
+        cfg = write_config(tmp_path, grid={"horizon": 1000, "steps": 8}, suites=["pasting"],
+                           trials=1)
+        assert main(["props", "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+        rows = {line.split(",")[0]: line.split(",")[-1] for line in out.read_text().splitlines()}
+        assert rows["pasting_increments"] == "true"
+
+    def test_call_reference_for_a_huge_strike(self, tmp_path, capsys):
+        out = tmp_path / "converge.csv"
+        cfg = write_config(tmp_path, driver="zero", claim="call:1e200", steps_list=[4])
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()}
+        assert float(rows["final_error"][2]) == 0.0
+
+    def test_unwritable_output_path_is_refused_before_the_run(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x.csv")
+        cases = [(write_config(tmp_path, "a.json", grid={"steps": 8}, output=missing), []),
+                 (write_config(tmp_path, "b.json", grid={"steps": 8}), ["--out", str(tmp_path)])]
+        for cfg, options in cases:
+            assert main(["price", "--config", cfg, *options]) == 2, options
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "failed:" not in err, err
+
 
 # spec kind -> (its table, arguments before the spec's parameters, subcommands that build it)
 SPEC_KINDS = {
