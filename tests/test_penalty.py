@@ -516,3 +516,26 @@ class TestStreamedChecksMatchReferences:
         stop = gl.random_stopping_pair(lat, rng)[int(rng.integers(2))]
         assert np.array_equal(_stopped_process(process, stop)[steps],
                               reference_value_at_stop(process, stop))
+
+    @given(topology=st.sampled_from(list(gl.TreeTopology)), steps=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), integrand=st.sampled_from(sorted(REFERENCE_INTEGRANDS)))
+    @settings(max_examples=40, deadline=None)
+    def test_penalty_formula_is_the_deterministic_window_process(self, topology, steps, seed,
+                                                                 integrand):
+        lat, f, Q, rng = reference_case(topology, steps, seed, integrand)
+        start, stop = sorted(int(k) for k in rng.integers(steps + 1, size=2))
+        field = gl.penalty_formula(f, Q, start, stop)
+        process = gl.window_penalty_process(f, Q, gl.StoppingTime.deterministic(lat, start),
+                                            gl.StoppingTime.deterministic(lat, stop))
+        assert (field.start, field.stop) == (start, stop)
+        for k in range(start, stop + 1):
+            assert np.array_equal(field.at(k), process[k])
+
+    def test_unordered_windows_are_refused(self, rec8):
+        _, f = entropic_pair()
+        Q = gl.density_from_control(gl.PredictableControl.constant(rec8, 0.1))
+        two, four, eight = (gl.StoppingTime.deterministic(rec8, k) for k in (2, 4, 8))
+        with pytest.raises(ValueError):
+            gl.window_penalty_process(f, Q, four, two)
+        with pytest.raises(ValueError):
+            gl.cocycle_residual(f, Q, two, eight, four)
