@@ -314,7 +314,7 @@ class TestCommands:
         rows = {line.split(",")[0]: line.split(",") for line in out.read_text().splitlines()}
         assert float(rows["final_error"][2]) == 0.0
 
-    def test_unwritable_output_path_is_refused_before_the_run(self, tmp_path, capsys):
+    def test_unusable_output_path_is_refused_before_the_run(self, tmp_path, capsys):
         missing = str(tmp_path / "missing" / "x.csv")
         cases = [(write_config(tmp_path, "a.json", grid={"steps": 8}, output=missing), []),
                  (write_config(tmp_path, "b.json", grid={"steps": 8}), ["--out", str(tmp_path)])]
