@@ -56,11 +56,14 @@ SUITES = ("axioms", "supermartingale", "monotone_family", "pasting", "truncation
 
 # nodes one `converge` ladder may sweep: about 12 s at ~11.6 ns per node
 CONVERGE_NODE_BUDGET = 10**9
+# grid nodes times trials the randomized `props` suites may sweep; a trial costs
+# 0.4-12 us per node (more on small grids), so about 40 s to 20 min
+TRIAL_NODE_BUDGET = 10**8
 
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
     "price": 3 * 8 + 1,  # the utility's y, the dual's u and argmin control; clamp flags
-    "penalty": 4 * 8 + 2,  # control, up-probabilities, f(t, q), window or cost; 2 stop masks
+    "penalty": 4 * 8,  # control, up-probabilities, f(t, q), window or Doob cost (cocycle: 6 masks)
     "supermartingale": 3 * 8 + 6,  # control, up-probabilities, f(t, q); 6 stop masks
     "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f and up-probs; 4 masks
     "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
@@ -124,13 +127,16 @@ def _list_of(item, increasing: bool = False, nonempty: bool = False):
 
 
 def _path(value) -> str:
-    """Reads an output file path: not a directory, and in a directory that exists."""
+    """Reads an output file path: not a directory, and in a writable directory that exists."""
     if not (isinstance(value, str) and value):
         raise ValueError("not a non-empty string")
     if os.path.isdir(value):
         raise ValueError("names a directory")
-    if not os.path.isdir(os.path.dirname(value) or "."):
+    directory = os.path.dirname(value) or "."
+    if not os.path.isdir(directory):
         raise ValueError("its directory does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ValueError("its directory is not writable")
     return value
 
 
@@ -335,6 +341,11 @@ def closed_form_reference(config: ExperimentConfig) -> float:
 # -- subcommands -------------------------------------------------------------
 
 
+def _axioms_on_config_grid(config: ExperimentConfig) -> bool:
+    """True when the axiom suite solves on the configured grid, not on 8 full binary steps."""
+    return config.topology is TreeTopology.FULL_BINARY and config.steps <= 12
+
+
 def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
     """Config error for a size the command must not run at, judged before anything is built."""
     steps = config.steps_list if command == "converge" else (config.steps,)
@@ -345,6 +356,14 @@ def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
     if command == "converge" and not 0 < nodes <= CONVERGE_NODE_BUDGET:
         raise ConfigError(f"converge needs a steps_list that sweeps at most {CONVERGE_NODE_BUDGET} "
                           f"nodes, got {list(steps)} ({nodes} nodes)")
+    if command == "props":
+        axiom_nodes = (nodes if _axioms_on_config_grid(config)
+                       else node_total(TreeTopology.FULL_BINARY, 8))
+        work = config.trials * (axiom_nodes * ("axioms" in config.suites)
+                                + nodes * ("supermartingale" in config.suites))
+        if work > TRIAL_NODE_BUDGET:
+            raise ConfigError(f"props would sweep {work} nodes over {config.trials} trials, "
+                              f"more than {TRIAL_NODE_BUDGET}")
     held = max(nodes * BYTES_PER_NODE.get(name, 0)
                for name in (config.suites if command == "props" else [command]))
     if command == "conjugate":
@@ -461,7 +480,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
     rng = np.random.default_rng(config.seed)
 
     if "axioms" in config.suites:
-        if config.topology is TreeTopology.FULL_BINARY and config.steps <= 12:
+        if _axioms_on_config_grid(config):
             axiom_lattice = config.build_lattice()
         else:
             axiom_lattice = build_grid(1.0, 8, TreeTopology.FULL_BINARY)

@@ -32,6 +32,8 @@ class PenaltyIntegrand:
     `domain_radius` is the radius outside which the value is exactly +inf;
     `domain_certified` records whether that radius was derived from a declared
     Lipschitz constant (or analytic knowledge) rather than guessed.
+    `evaluate` must be elementwise in q: the golden-section dual search
+    evaluates both probe points of every node in one call.
     """
 
     name: str
@@ -93,20 +95,20 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
     per_axis = points if points is not None else GRID_POINTS_PER_AXIS[dim]
     pts = _tensor_grid(radius, dim, per_axis)
     fvals = np.asarray(fun(t, pts), dtype=float)
-    if not np.any(np.isfinite(fvals)):
-        raise ValueError("empty effective domain: the function is +inf on the whole grid")
-
     finite = np.isfinite(fvals)
+    if not np.any(finite):
+        raise ValueError("empty effective domain: the function is +inf on the whole grid")
+    # an infinite point never attains the sup, so the first arg max over the rest is unchanged
+    pts, fvals = pts[finite], fvals[finite]
+
     spacing = 2.0 * radius / (per_axis - 1) if per_axis > 1 else radius
     refine_axis = REFINE_POINTS_PER_AXIS[dim]
     best = np.empty(rows.shape[0])
     for lo in range(0, rows.shape[0], 512):
         block = rows[lo:lo + 512]
         which = np.arange(block.shape[0])
-        cross = block[:, None] * pts[None, :] if dim == 1 else block @ pts.T
-        scores = cross - fvals[None, :]
-        del cross
-        scores[:, ~finite] = -np.inf
+        scores = np.multiply.outer(block, pts) if dim == 1 else block @ pts.T
+        scores -= fvals
         arg = np.argmax(scores, axis=1)
         top = scores[which, arg]
         del scores

@@ -45,19 +45,28 @@ class DualSolution:
 
 
 def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Minimise a convex vectorised objective independently per component."""
+    """Minimise a convex vectorised objective independently per component.
+
+    `objective` gets both probe points at once, c and d concatenated, so it
+    must be elementwise and accept twice the components of `lo`; the buffer
+    it gets is overwritten on the next call.
+    """
     span = float(np.max(hi - lo))
     if span <= tol:
         return (lo + hi) / 2.0
     iters = max(1, int(math.ceil(math.log(tol / span) / math.log(_INVPHI))))
     a, b = lo.astype(float).copy(), hi.astype(float).copy()
+    half = a.shape[0]
+    probes = np.empty(2 * half)
+    c, d = probes[:half], probes[half:]
     for _ in range(iters):
-        h = b - a
-        c = b - _INVPHI * h
-        d = a + _INVPHI * h
-        keep_left = objective(c) < objective(d)
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
+        shift = _INVPHI * (b - a)
+        np.subtract(b, shift, out=c)
+        np.add(a, shift, out=d)
+        both = objective(probes)
+        keep_left = both[:half] < both[half:]
+        np.copyto(b, d, where=keep_left)
+        np.copyto(a, c, where=~keep_left)
     return (a + b) / 2.0
 
 
@@ -95,8 +104,10 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
             lo = np.full_like(zed, max(-dom, -bound))
             hi = np.full_like(zed, min(dom, bound))
 
+            zed_twice = np.concatenate((zed, zed))
+
             def objective(qq):
-                return qq * zed + np.asarray(integrand(t, qq), dtype=float)
+                return qq * zed_twice + np.asarray(integrand(t, qq), dtype=float)
 
             q = _vector_golden_min(objective, lo, hi, GOLDEN_TOL)
             clamp = np.abs(q) >= bound - 2.0 * GOLDEN_TOL

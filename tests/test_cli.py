@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glattice as gl
-from glattice.cli import (CLAIMS, CONTROLS, DRIVERS, INTEGRANDS, ConfigError, ExperimentConfig,
-                          closed_form_reference, main)
+from glattice.cli import (CLAIMS, COMMANDS, CONTROLS, DRIVERS, INTEGRANDS, ConfigError,
+                          ExperimentConfig, closed_form_reference, main)
+from glattice.report import RunReport
 from conftest import max_field_diff
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -448,3 +450,57 @@ class TestSizeRule:
         cfg = write_config(tmp_path, driver="abs:0.5", tabulate={"points": 20000, "times": [0, 1]})
         assert main(["conjugate", "--config", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: conjugate would hold")
+
+    def test_penalty_counts_four_fields(self, tmp_path, monkeypatch, capsys):
+        # 33 bytes a node: above the four float fields penalty holds, below 34
+        limit_physical_memory(monkeypatch, 8385 * 33)
+        cfg = write_config(tmp_path, driver="entropic:1", control="constant:0.2", grid=self.GRID)
+        assert main(["penalty", "--config", cfg]) == 0, capsys.readouterr().err
+
+
+class TestTrialBudget:
+    """`props` refuses trials times grid nodes over its budget, before any suite runs."""
+
+    @pytest.mark.parametrize("suite,steps,trials,code", [
+        ("supermartingale", 8, 10**8, 2),
+        ("supermartingale", 8, 10**6, 0),  # 45 nodes: 4.5e7 node-trials fit
+        ("axioms", 2048, 10**6, 2),  # axioms solve on 8 full binary steps: 511 nodes a trial
+        ("biconjugate", 8, 10**8, 0),  # no trials in this suite
+    ])
+    def test_trials_times_nodes(self, suite, steps, trials, code, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setitem(COMMANDS, "props",
+                            lambda config: ran.append(config) or RunReport("props", 0, "test"))
+        cfg = write_config(tmp_path, trials=trials, suites=[suite], grid={"steps": steps})
+        exit_code = main(["props", "--config", cfg])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert exit_code == 2 and not ran
+            assert err.startswith("config error: props would sweep") and "failed:" not in err
+        else:
+            assert exit_code == 0 and len(ran) == 1, err
+
+
+class TestOutputDirectory:
+    def test_unwritable_directory_is_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("glattice.cli.os.access", lambda path, mode: False)
+        cfg = write_config(tmp_path, output=str(tmp_path / "report.csv"))
+        assert main(["price", "--config", cfg]) == 2
+        assert main(["price", "--config", write_config(tmp_path, name="plain.json"),
+                     "--out", str(tmp_path / "report.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and "not writable" in err
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root may write to a read-only directory")
+    def test_read_only_directory_exits_two(self, tmp_path, capsys):
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        locked.chmod(0o555)
+        try:
+            cfg = write_config(tmp_path, output=str(locked / "report.csv"))
+            assert main(["price", "--config", cfg]) == 2
+            assert "not writable" in capsys.readouterr().err
+        finally:
+            locked.chmod(0o755)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import glattice as gl
+from glattice import dual
 from glattice.conjugate import PenaltyIntegrand
 from conftest import max_field_diff
 
@@ -240,3 +241,72 @@ class TestDualStructure:
         u_eta = gl.dual_utility(f, gl.terminal_field(full6, eta))
         expected = np.where(event, u_xi.u[k], u_eta.u[k])
         assert np.allclose(mixed.u[k], expected, atol=1e-13)
+
+
+def reference_golden_dual(integrand, terminal):
+    """The golden-section dual recursion, probing c and d in two objective calls.
+
+    Returns the value field's steps from N down to 0, the controls from step
+    N-1 down to 0, and whether any probe cost +inf.
+    """
+    lat = terminal.lattice
+    bound = (1.0 - dual.ADMISSIBILITY_MARGIN) / lat.sqrt_dt
+    low, high = max(-integrand.domain_radius, -bound), min(integrand.domain_radius, bound)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    controls = []
+    met_inf = []
+
+    def step(k, down, up):
+        zed = lat.increment(down, up)
+        t = lat.grid.time(k)
+
+        def objective(qq):
+            return qq * zed + np.asarray(integrand(t, qq), dtype=float)
+
+        a, b = np.full_like(zed, low), np.full_like(zed, high)
+        iters = max(1, int(math.ceil(math.log(dual.GOLDEN_TOL / (high - low)) / math.log(invphi))))
+        for _ in range(iters):
+            h = b - a
+            c = b - invphi * h
+            d = a + invphi * h
+            at_c, at_d = objective(c), objective(d)
+            met_inf.append(bool(np.any(np.isinf(at_c)) or np.any(np.isinf(at_d))))
+            keep_left = at_c < at_d
+            b = np.where(keep_left, d, b)
+            a = np.where(keep_left, a, c)
+        q = (a + b) / 2.0
+        controls.append(q)
+        return (up + down) / 2.0 + (q * zed + np.asarray(integrand(t, q), dtype=float)) * lat.dt
+
+    values = [u for _, u in lat.sweep(lat.steps, terminal.bounded_values().copy(), step)]
+    return values, controls, any(met_inf)
+
+
+class TestGoldenSectionBitwise:
+    """Both probes in one objective call give the bits of one call per probe."""
+
+    plain = dataclasses.replace(gl.fenchel(gl.entropic(1.0)), step_minimizer=None)
+    integrands = {
+        "entropic": plain,
+        # the bracket does not know the gate, so the search meets +inf inside it
+        "undeclared_gate": dataclasses.replace(gl.truncate_integrand(plain, 1.25),
+                                               domain_radius=math.inf),
+        "numeric_conjugate": gl.fenchel(dataclasses.replace(
+            gl.entropic(1.0, radius=4.0), conjugate=None, step_minimizer=None)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(integrands))
+    @pytest.mark.parametrize("topology,steps", [(gl.TreeTopology.RECOMBINING, 8),
+                                                (gl.TreeTopology.FULL_BINARY, 5)])
+    def test_matches_one_call_per_probe(self, name, topology, steps):
+        integrand = self.integrands[name]
+        assert integrand.step_minimizer is None
+        lat = gl.build_grid(1.0, steps, topology)
+        xi = gl.terminal_field(lat, lambda x: 0.6 * np.sin(2.0 * x))
+        sol = gl.dual_utility(integrand, xi)
+        values, controls, met_inf = reference_golden_dual(integrand, xi)
+        assert met_inf == (name == "undeclared_gate")
+        for k in range(steps + 1):
+            assert np.array_equal(sol.u[k], values[steps - k]), k
+        for k in range(steps):
+            assert np.array_equal(sol.argmin_control[k], controls[steps - 1 - k]), k
