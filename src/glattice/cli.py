@@ -56,9 +56,11 @@ SUITES = ("axioms", "supermartingale", "monotone_family", "pasting", "truncation
 
 # nodes one `converge` ladder may sweep: about 12 s at ~11.6 ns per node
 CONVERGE_NODE_BUDGET = 10**9
-# grid nodes times trials the randomized `props` suites may sweep; a trial costs
-# 0.4-12 us per node (more on small grids), so about 40 s to 20 min
-TRIAL_NODE_BUDGET = 10**8
+# grid nodes times trials the randomized `props` suites may sweep, a trial counted
+# as at least TRIAL_NODE_FLOOR nodes: below that its per-step work dominates, so a
+# trial costs 0.04-0.55 us per counted node, and the budget is at most about 30 s
+TRIAL_NODE_BUDGET = 5 * 10**7
+TRIAL_NODE_FLOOR = 4096
 
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
@@ -359,11 +361,13 @@ def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
     if command == "props":
         axiom_nodes = (nodes if _axioms_on_config_grid(config)
                        else node_total(TreeTopology.FULL_BINARY, 8))
-        work = config.trials * (axiom_nodes * ("axioms" in config.suites)
-                                + nodes * ("supermartingale" in config.suites))
+        floor = TRIAL_NODE_FLOOR
+        work = config.trials * (max(axiom_nodes, floor) * ("axioms" in config.suites)
+                                + max(nodes, floor) * ("supermartingale" in config.suites))
         if work > TRIAL_NODE_BUDGET:
-            raise ConfigError(f"props would sweep {work} nodes over {config.trials} trials, "
-                              f"more than {TRIAL_NODE_BUDGET}")
+            raise ConfigError(f"props would sweep {work} nodes over {config.trials} trials "
+                              f"(at least {TRIAL_NODE_FLOOR} a trial), more than "
+                              f"{TRIAL_NODE_BUDGET}")
     held = max(nodes * BYTES_PER_NODE.get(name, 0)
                for name in (config.suites if command == "props" else [command]))
     if command == "conjugate":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -44,12 +44,11 @@ from .measure import (
 )
 
 
-def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableControl,
-                         steps: Iterable[int] | None = None) -> list[np.ndarray]:
-    """f(t_k, q_k) per node for each step k of `steps` (default all), +inf outside the domain."""
+def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableControl) -> list[np.ndarray]:
+    """f(t_k, q_k) per node, with +inf wherever the control leaves the domain."""
     lat = control.lattice
     return [np.asarray(integrand(lat.grid.time(k), control[k]), dtype=float)
-            for k in (range(lat.steps) if steps is None else steps)]
+            for k in range(lat.steps)]
 
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
@@ -60,22 +59,19 @@ def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
     return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
-def _window_sweep(fq: Sequence, measure: MeasureChange, inside: Sequence,
-                  top: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Lazily (k, R_k) for k = top .. 0, given f(t_k, q_k) and the window's indicators.
+def _window_sweep(fq: list[np.ndarray], measure: MeasureChange,
+                  inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) and the window's indicators.
 
     `inside[k]` flags the step-k nodes whose transition lies in the window: a
     `between_masks` mask, or one bool per step for a deterministic window.
-    The sweep starts from zeros at `top` (default N), which must not lie below
-    the window's end; `fq[k]` and `inside[k]` are read only for the steps swept.
     """
     lat = measure.lattice
-    top = lat.steps if top is None else top
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         return np.where(inside[k], fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
 
-    return lat.sweep(top, np.zeros(lat.node_count(top)), step)
+    return lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)
 
 
 @dataclass
@@ -106,11 +102,9 @@ def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    # R is exactly zero from `stop` up, so the sweep starts there and f is needed
-    # only inside the window; it is stopped at `start`, below which nothing is read
-    fq = [None] * start + integrand_on_control(integrand, measure.control, range(start, stop))
-    sweep = _window_sweep(fq, measure, [True] * stop, top=stop)
-    window = [v for _, v in islice(sweep, stop - start + 1)]
+    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure,
+                          [start <= k < stop for k in range(lat.steps)])
+    window = [v for _, v in islice(sweep, lat.steps - stop, lat.steps - start + 1)]
     return PenaltyField(AdaptedField(lat, window[::-1], start=start))
 
 

@@ -463,7 +463,9 @@ class TestTrialBudget:
 
     @pytest.mark.parametrize("suite,steps,trials,code", [
         ("supermartingale", 8, 10**8, 2),
-        ("supermartingale", 8, 10**6, 0),  # 45 nodes: 4.5e7 node-trials fit
+        ("supermartingale", 8, 10**6, 2),  # 45 nodes, counted as 4096 a trial: 4.1e9
+        ("supermartingale", 8, 10**4, 0),  # 4.1e7 fits
+        ("supermartingale", 256, 2000, 2),  # 33153 nodes a trial: 6.6e7
         ("axioms", 2048, 10**6, 2),  # axioms solve on 8 full binary steps: 511 nodes a trial
         ("biconjugate", 8, 10**8, 0),  # no trials in this suite
     ])

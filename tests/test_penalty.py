@@ -69,13 +69,11 @@ class TestPenaltyFormula:
 
     @pytest.mark.parametrize("topology", list(gl.TreeTopology))
     @pytest.mark.parametrize("start", [0, 2])
-    def test_short_window_sweeps_only_its_steps(self, topology, start):
+    def test_short_window_is_the_window_process(self, topology, start):
         lat = gl.build_grid(1.0, 12, topology)
         Q = gl.density_from_control(random_control(lat, np.random.default_rng(3), 1.0))
-        f, calls = counting_integrand()
+        f = gl.fenchel(gl.entropic(1.0, radius=8.0))
         field = gl.penalty_formula(f, Q, start, 8)
-        # f is evaluated once on each step of the window and nowhere else
-        assert calls == [lat.grid.time(k) for k in range(start, 8)]
         # the window process sweeps from the horizon through zeros: the same bits
         process = gl.window_penalty_process(f, Q, gl.StoppingTime.deterministic(lat, start),
                                             gl.StoppingTime.deterministic(lat, 8))
