@@ -67,20 +67,6 @@ class TestPenaltyFormula:
         with pytest.raises(ValueError):
             gl.penalty_formula(f, Q, 5, 3)
 
-    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
-    @pytest.mark.parametrize("start", [0, 2])
-    def test_short_window_is_the_window_process(self, topology, start):
-        lat = gl.build_grid(1.0, 12, topology)
-        Q = gl.density_from_control(random_control(lat, np.random.default_rng(3), 1.0))
-        f = gl.fenchel(gl.entropic(1.0, radius=8.0))
-        field = gl.penalty_formula(f, Q, start, 8)
-        # the window process sweeps from the horizon through zeros: the same bits
-        process = gl.window_penalty_process(f, Q, gl.StoppingTime.deterministic(lat, start),
-                                            gl.StoppingTime.deterministic(lat, 8))
-        assert (field.start, field.stop) == (start, 8)
-        for k in range(start, 9):
-            assert np.array_equal(field.at(k), process[k])
-
     def test_infinite_cost_after_the_window_is_not_seen(self, rec8):
         f = gl.fenchel(gl.abs_scaled(0.5))  # indicator of [-0.5, 0.5]
         values = [np.full(rec8.node_count(k), 0.2 if k < 4 else 0.9) for k in range(8)]
