@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .conjugate import (
     monotone_family_check,
     truncate_integrand,
 )
-from .drivers import _BUILTINS, Driver, bind_spec
+from .drivers import _BUILTINS, Driver, abs_scaled, bind_spec, zero
 from .lattice import (
     FULL_BINARY_MAX_STEPS,
     AdaptedField,
@@ -168,16 +168,6 @@ def _quadratic_integrand(driver: Driver, gamma: float = 1.0) -> PenaltyIntegrand
         domain_certified=False)
 
 
-def _box_integrand(driver: Driver, radius: float = 1.0) -> PenaltyIntegrand:
-    if radius < 0:
-        raise ValueError("box integrand needs a nonnegative radius")
-    return PenaltyIntegrand(
-        name=f"box:{radius:g}",
-        evaluate=lambda t, q: np.where(np.abs(np.asarray(q, dtype=float)) <= radius, 0.0, np.inf),
-        domain_radius=radius, zero_at_origin=True,
-        step_minimizer=lambda t, zed: -radius * np.sign(np.asarray(zed, dtype=float)))
-
-
 # Spec tables: a factory's parameters after its context are the spec's (`drivers.bind_spec`)
 DRIVERS = {
     **_BUILTINS,
@@ -190,12 +180,9 @@ DRIVERS = {
 INTEGRANDS = {
     "conjugate": fenchel,
     "quadratic": _quadratic_integrand,
-    "box": _box_integrand,
-    "origin": lambda driver: PenaltyIntegrand(
-        name="origin",
-        evaluate=lambda t, q: np.where(np.asarray(q, dtype=float) == 0.0, 0.0, np.inf),
-        domain_radius=0.0, zero_at_origin=True,
-        step_minimizer=lambda t, zed: np.zeros_like(np.asarray(zed, dtype=float))),
+    # the kappa-ignorance and fair-coin indicators, as the conjugates of abs:R and zero
+    "box": lambda driver, radius=1.0: replace(fenchel(abs_scaled(radius)), name=f"box:{radius:g}"),
+    "origin": lambda driver: replace(fenchel(zero()), name="origin"),
 }
 
 CLAIMS = {
@@ -421,7 +408,7 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
     formula = penalty.penalty_formula(integrand, measure, 0, lattice.steps).initial()
     report.add("penalty_formula", fixture, formula, "", "", True)
 
-    if lattice.topology is TreeTopology.FULL_BINARY and lattice.steps <= 4:
+    if lattice.topology is TreeTopology.FULL_BINARY and lattice.steps <= penalty.ORACLE_MAX_STEPS:
         oracle = penalty.penalty_primal_oracle(driver, measure, seed=config.seed)
         tol = config.tolerance("primal_equality")
         if math.isfinite(formula):
@@ -506,7 +493,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
     if "supermartingale" in config.suites:
         lattice = config.build_lattice()
         oracle_driver = driver if (lattice.topology is TreeTopology.FULL_BINARY
-                                   and lattice.steps <= 4) else None
+                                   and lattice.steps <= penalty.ORACLE_MAX_STEPS) else None
         sup = penalty.supermartingale_suite(
             integrand, density_from_control(config.build_control(lattice)),
             trials=config.trials, seed=config.seed, driver=oracle_driver)
@@ -527,8 +514,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
 
     if "pasting" in config.suites:
         lattice = config.build_lattice()
-        worst = 0.0
-        ok = True
+        pasting = bsde.CheckStat("pasting_increments")
         # amplitudes keep |q| sqrt(dt) <= 0.8; the range is [0.1, high] unless dt > 16
         high = min(1.5, 0.8 / lattice.sqrt_dt)
         for _ in range(10):
@@ -540,10 +526,9 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
             sigma, tau = penalty.random_stopping_pair(lattice, rng)
             outcome = penalty.pasting_check(integrand, q1, q2, sigma, tau,
                                             restriction_level=float(rng.uniform(0.2, 1.0)))
-            worst = max(worst, outcome.paste_max_error,
-                        outcome.restriction_max_error or 0.0)
-            ok &= outcome.passed
-        report.add("pasting_increments", config.driver_spec, worst, 0.0, 0.0, ok)
+            pasting.record(max(outcome.paste_max_error, outcome.restriction_max_error or 0.0), 0.0)
+        report.add("pasting_increments", config.driver_spec, pasting.worst, 0.0, 0.0,
+                   pasting.passed)
 
     if "truncation" in config.suites:
         control = config.build_control(config.build_lattice())

@@ -214,8 +214,7 @@ def builtin(name: str, params: Sequence[float] = ()) -> Driver:
 
 def parse_spec(text: str) -> Driver:
     """Parse a driver spec string such as `abs:0.5` or `entropic:1,16`."""
-    name, bound = bind_spec(text, _BUILTINS, "driver")
-    return _BUILTINS[name](*bound.args)
+    return builtin(text)
 
 
 # -- assumption probes ----------------------------------------------------

@@ -44,9 +44,9 @@ class MeasureChange:
         self.control = control
         self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
         for k, p in enumerate(self.up_prob):
-            if np.any(p <= 0.0) or np.any(p >= 1.0):
-                bad = int(np.flatnonzero((p <= 0.0) | (p >= 1.0))[0])
-                raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
+            bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
+            if bad.size:
+                raise AdmissibilityError(NodeId(k, int(bad[0])), float(control[k][bad[0]]),
                                          1.0 / self.lattice.sqrt_dt)
 
     def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
@@ -59,16 +59,15 @@ class MeasureChange:
 
         The density is a path functional, so it is a node field only on the
         full binary tree; on the recombining tree merged nodes carry distinct
-        path products and no adapted-field representation exists.
+        path products and no adapted-field representation exists.  There M_k is
+        the node's probability times 2**k, and a power of two scales exactly.
         """
         lat = self.lattice
         if lat.topology is not TreeTopology.FULL_BINARY:
             raise ValueError("density is path-dependent; build the measure on a "
                              "full binary tree to materialise it")
-        vals = [np.ones(1)]
-        for k, p in enumerate(self.up_prob):
-            vals.append(lat.push(vals[k], 2.0 * (1.0 - p), 2.0 * p))
-        return AdaptedField(lat, vals, start=0)
+        return AdaptedField(lat, [p * 2.0**k for k, p in enumerate(self.node_probabilities())],
+                            start=0)
 
     def node_probabilities(self) -> list[np.ndarray]:
         """Forward measure: probability of sitting at each node, step by step."""
@@ -140,10 +139,7 @@ def paste_controls(first: PredictableControl, second: PredictableControl,
                    sigma: StoppingTime, tau: StoppingTime) -> PredictableControl:
     """Control equal to `first` outside ]]sigma, tau]] and `second` inside."""
     masks = between_masks(sigma, tau)
-    return PredictableControl(
-        first.lattice,
-        [np.where(masks[k], second[k], first[k]) for k in range(first.lattice.steps)],
-    )
+    return first.map(lambda k, q: np.where(masks[k], second[k], q))
 
 
 def truncate_control(control: PredictableControl, level: float) -> PredictableControl:

@@ -230,27 +230,25 @@ def pasting_check(integrand: PenaltyIntegrand, first: PredictableControl,
     restriction form dA^H = 1_H dA for H = {|q| <= level} on the pasted
     control.
     """
-    lat = first.lattice
+    dt = first.lattice.dt
+
+    def worst_gap(inc, masks, inside, outside) -> float:
+        """Largest gap of the increments from `inside` on the masks and `outside` off them."""
+        return max(0.0, *(_extended_gap(f * dt, np.where(mask, f_in, f_out) * dt)
+                          for f, mask, f_in, f_out in zip(inc, masks, inside, outside)))
+
     pasted = paste_controls(first, second, sigma, tau)
-    masks = between_masks(sigma, tau)
-    inc_first = integrand_on_control(integrand, first)
-    inc_second = integrand_on_control(integrand, second)
     inc_pasted = integrand_on_control(integrand, pasted)
-    worst = 0.0
-    for k in range(lat.steps):
-        expected = np.where(masks[k], inc_second[k], inc_first[k]) * lat.dt
-        worst = max(worst, _extended_gap(inc_pasted[k] * lat.dt, expected))
+    worst = worst_gap(inc_pasted, between_masks(sigma, tau),
+                      integrand_on_control(integrand, second),
+                      integrand_on_control(integrand, first))
 
     restriction_worst = None
     if restriction_level is not None:
-        keep = [np.abs(pasted[k]) <= restriction_level for k in range(lat.steps)]
+        keep = [np.abs(q) <= restriction_level for q in pasted.values]
         restricted = restrict_control(pasted, keep)
-        inc_restricted = integrand_on_control(integrand, restricted)
-        restriction_worst = 0.0
-        for k in range(lat.steps):
-            expected = np.where(keep[k], inc_pasted[k] * lat.dt, 0.0)
-            restriction_worst = max(restriction_worst,
-                                    _extended_gap(inc_restricted[k] * lat.dt, expected))
+        restriction_worst = worst_gap(integrand_on_control(integrand, restricted), keep,
+                                      inc_pasted, [0.0] * len(keep))
 
     passed = worst == 0.0 and (restriction_worst is None or restriction_worst == 0.0)
     return PastingReport(worst, restriction_worst, passed)
@@ -267,6 +265,8 @@ def _extended_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # -- primal oracle ----------------------------------------------------------
+
+ORACLE_MAX_STEPS = 4  # full binary steps the oracle enumerates claims on: 2**4 variables
 
 
 @dataclass
@@ -290,8 +290,8 @@ def penalty_primal_oracle(driver: Driver, measure: MeasureChange, *, seed: int =
     lat = measure.lattice
     if lat.topology is not TreeTopology.FULL_BINARY:
         raise ValueError("the primal oracle enumerates claims per path: full binary only")
-    if lat.steps > 4:
-        raise ValueError(f"primal oracle limited to 4 steps, got {lat.steps}")
+    if lat.steps > ORACLE_MAX_STEPS:
+        raise ValueError(f"primal oracle limited to {ORACLE_MAX_STEPS} steps, got {lat.steps}")
 
     weights = measure.node_probabilities()[lat.steps]
     sdt = lat.sqrt_dt
@@ -531,12 +531,10 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
     lat = measure.lattice
     rng = np.random.default_rng(seed)
 
-    worst_inequality = 0.0
-    violations = 0
+    inequality = bsde.CheckStat("supermartingale")
+    bound = bsde.CheckStat("near_optimal_bound", worst=-math.inf)
 
     oracle_part = driver is not None and lat.topology is TreeTopology.FULL_BINARY
-    lemma_violations = None
-    lemma_worst = None
     acceptance_residual = None
     oracle_gap = None
 
@@ -554,8 +552,6 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
         weights = measure.node_probabilities()[lat.steps]
         u_process = bsde.utility_solution(
             driver, AdaptedField(lat, [acceptable_claim], start=lat.steps)).y
-        lemma_violations = 0
-        lemma_worst = -math.inf
         acceptance_residual = 0.0
 
     # ]]sigma, N]] is sigma.reached, and random_stopping_pair orders sigma <= tau
@@ -566,10 +562,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
                                   _window_sweep(fq, measure, tau.reached)):
             finite = np.isfinite(a) & np.isfinite(b)
             if np.any(finite):
-                gap = float(np.max(b[finite] - a[finite]))
-                worst_inequality = max(worst_inequality, gap)
-                if gap > bsde.TOL_IDENTITY:
-                    violations += 1
+                inequality.record(float(np.max(b[finite] - a[finite])), bsde.TOL_IDENTITY)
 
         if oracle_part:
             window = _window_sweep(fq, measure, between_masks(sigma, tau))
@@ -577,11 +570,8 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
             sigma_frozen = _stopped_process(u_process, sigma)
             frozen = _stopped_process(u_process, tau)
             u_tau = frozen[lat.steps]
-            bound = float(weights @ (sigma_frozen[lat.steps] - u_tau)) + eps
-            margin = float(window_root) - bound
-            lemma_worst = max(lemma_worst, margin)
-            if margin > bsde.TOL_IDENTITY:
-                lemma_violations += 1
+            lemma_bound = float(weights @ (sigma_frozen[lat.steps] - u_tau)) + eps
+            bound.record(float(window_root) - lemma_bound, bsde.TOL_IDENTITY)
 
             # xi - u_tau(xi) is acceptable over [tau, T]: utility zero at tau.
             tail_claim = acceptable_claim - u_tau
@@ -597,10 +587,10 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
 
     return SupermartingaleReport(
         trials=trials,
-        inequality_violations=violations,
-        inequality_worst=worst_inequality,
-        lemma_bound_violations=lemma_violations,
-        lemma_bound_worst=None if lemma_worst in (None, -math.inf) else lemma_worst,
+        inequality_violations=inequality.violations,
+        inequality_worst=inequality.worst,
+        lemma_bound_violations=bound.violations if oracle_part else None,
+        lemma_bound_worst=bound.worst if oracle_part and bound.worst > -math.inf else None,
         acceptance_residual=acceptance_residual,
         oracle_gap=oracle_gap,
         skipped_oracle_part=not oracle_part,

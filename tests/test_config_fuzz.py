@@ -5,7 +5,8 @@ are drawn from every JSON type, with NaN/Infinity literals, nesting, unknown
 keys and valid specs from the tables.  Sizes that pass validation stay small
 (steps and steps_list entries <= 8, trials <= 2, points <= 20, at most 3
 times); invalid sizes (<= 0, fractional, boolean, >= 1e9) are drawn next to
-them.  A `trials` count has no work budget, so no large valid one is drawn.
+them.  Large `trials` counts (10^5, 10^8) are drawn too: `props` refuses them
+by its work budget before it runs, and no other command reads `trials`.
 
 Run it longer with `pytest tests/test_config_fuzz.py --hypothesis-profile=ci`.
 """
@@ -64,8 +65,10 @@ config = with_unknown_key(st.fixed_dictionaries(
         "grid": mostly(with_unknown_key(st.fixed_dictionaries({"steps": size}, optional={
             "horizon": mostly(st.floats(0.1, 4), number),
             "topology": mostly(st.sampled_from(["recombining", "full_binary"]))})), not_object),
-        # no work budget bounds trials, so no large valid count is drawn
-        "trials": mostly(st.integers(1, 2), st.sampled_from([0, -3, 1.5, True, "x"])),
+        # 10**5 and 10**8 trials count at least 4096 nodes each, over props' work budget
+        # whenever axioms or supermartingale runs; the other suites do not read trials
+        "trials": mostly(st.integers(1, 2),
+                         st.sampled_from([0, -3, 1.5, True, "x", 10**5, 10**8])),
         "steps_list": mostly(st.lists(size, min_size=1, max_size=3, unique=True).map(sorted),
                              json_leaf),
     },

@@ -33,6 +33,15 @@ class TestDensityFromControl:
             gl.density_from_control(gl.PredictableControl(lat, values))
         assert (err.value.node, err.value.value, err.value.bound) == (gl.NodeId(2, 1), -3.0, 2.0)
 
+    def test_nan_control_rejected_with_node(self):
+        # a NaN up-probability fails both p <= 0 and p >= 1, so it is tested as not in (0, 1)
+        lat = gl.build_grid(1.0, 4)
+        values = [np.zeros(k + 1) for k in range(4)]
+        values[2][1] = math.nan
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.density_from_control(gl.PredictableControl(lat, values))
+        assert err.value.node == gl.NodeId(2, 1) and math.isnan(err.value.value)
+
     def test_conditional_drift_is_exact(self, rec8):
         rng = np.random.default_rng(1)
         q = random_control(rec8, rng, 1.2)
