@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from .drivers import Driver, abs_scaled
-from .lattice import AdaptedField, Lattice, NodeId, TreeTopology, field_max
+from .lattice import (AdaptedField, Lattice, NodeId, TreeTopology, _trial_blocks,
+                      field_max, node_total)
 
 UtilityOperator = Callable[[AdaptedField, int], AdaptedField]
 
@@ -61,7 +62,8 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
 
     sign = +1 is the g-expectation, sign = -1 the utility -E_g(-claim) stepped on
     the claim itself: negation is exact, so this is negate-solve-negate bit for
-    bit.  A radius breach reports the z handed to the driver.
+    bit.  A radius breach reports the z handed to the driver and its node (the
+    node within its row when claims are stacked on a leading axis).
     """
     scale = sign * lattice.dt
 
@@ -69,8 +71,9 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
         z = lattice.increment(down, up)
         arg = z if sign > 0 else -z
         if check_radius and np.any(np.abs(z) > driver.validity_radius):
-            idx = int(np.argmax(np.abs(z)))
-            raise ValidityRadiusError(NodeId(k, idx), float(arg[idx]), driver.validity_radius)
+            flat = int(np.argmax(np.abs(z)))
+            raise ValidityRadiusError(NodeId(k, flat % z.shape[-1]), float(arg.flat[flat]),
+                                      driver.validity_radius)
         return (up + down) / 2.0 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
 
     return step
@@ -156,10 +159,20 @@ class CheckStat:
 
     def record(self, margin: float, tol: float):
         # margin <= tol means the check held; positive margins measure violation.
-        self.trials += 1
-        self.worst = max(self.worst, margin)
-        if margin > tol:
-            self.violations += 1
+        self.record_many(np.array([margin], dtype=float), tol)
+
+    def record_many(self, margins: np.ndarray, tol) -> None:
+        """`record` each margin in order (`tol` scalar or one per margin).
+
+        `worst` ends as the fold worst = max(worst, margin) leaves it: the
+        first margin equal to the largest one that rises above it (so of
+        0.0 and -0.0 the earlier), NaN never.
+        """
+        self.trials += margins.size
+        self.violations += int(np.count_nonzero(margins > tol))
+        rises = margins > self.worst
+        if np.any(rises):
+            self.worst = float(margins[np.argmax(margins == np.max(margins[rises]))])
 
     @property
     def passed(self) -> bool:
@@ -194,6 +207,11 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
     property, time consistency via solve restart, and positive homogeneity
     for positively homogeneous drivers.  Inequalities use tolerance 1e-10;
     lattice-exact identities use 1e-12.  Violations are reported, not raised.
+
+    Each trial draws its random numbers in a fixed order; blocks of trials
+    (`lattice.BATCH_NODES`) then solve all their claims as the rows of one
+    utility sweep, beside one sweep of the dominating expectation, and
+    reduce every margin per step as the sweeps run.
     """
     if lattice.topology is not TreeTopology.FULL_BINARY:
         raise ValueError("the randomized axiom suite needs the full binary topology "
@@ -211,78 +229,114 @@ def axiom_suite(driver: Driver, lattice: Lattice, *, trials: int, seed: int,
         names.append("positive_homogeneity")
     checks = {n: CheckStat(n) for n in names}
 
-    def u_process(vec: np.ndarray) -> AdaptedField:
-        return utility_solution(driver, AdaptedField(lattice, [vec], start=lattice.steps)).y
-
-    u_zero = u_process(np.zeros(n_term))
+    u_zero = utility_solution(driver, AdaptedField(lattice, [np.zeros(n_term)],
+                                                   start=lattice.steps)).y
     checks["zero_normalisation"].record(field_max(np.abs, u_zero), TOL_IDENTITY)
 
-    for _ in range(trials):
-        xi = rng.uniform(-claim_bound, claim_bound, size=n_term)
-        eta = rng.uniform(-claim_bound, claim_bound, size=n_term)
-        u_xi = u_process(xi)
-        u_eta = u_process(eta)
-
-        # normalisation, randomized through constancy: u(c) = c contains u(0) = 0.
-        const = float(rng.uniform(-claim_bound, claim_bound))
-        u_const = u_process(np.full(n_term, const))
-        checks["zero_normalisation"].record(
-            field_max(lambda v: np.abs(v - const), u_const), TOL_IDENTITY)
-
-        # (a) monotonicity: adding a nonnegative claim never lowers the utility.
-        bump = rng.uniform(0.0, claim_bound, size=n_term)
-        u_higher = u_process(xi + bump)
-        checks["monotonicity"].record(field_max(np.subtract, u_xi, u_higher), TOL_INEQUALITY)
-
-        # strict version: one strictly better terminal atom moves the root value.
-        atom = int(rng.integers(n_term))
-        spike = np.zeros(n_term)
-        spike[atom] = 0.25 * claim_bound
-        gain = float(u_process(xi + spike).values[0][0] - u_xi.values[0][0])
-        checks["strict_monotonicity"].record(0.0 if gain > 0.0 else 1.0, 0.5)
-
-        # (b) translation invariance for a claim measurable at a random step.
-        k = int(rng.integers(1, lattice.steps))
-        shift = rng.uniform(-claim_bound, claim_bound, size=lattice.node_count(k))
-        lifted = shift[lattice.terminal_ancestors(k)]
-        u_shifted = u_process(xi + lifted)
-        worst = 0.0
-        shift_at_j = shift
-        for j in range(k, lattice.steps + 1):
-            if j > k:
-                shift_at_j = lattice.push(shift_at_j, 1.0, 1.0)
-            worst = max(worst, float(np.max(np.abs(u_shifted[j] - u_xi[j] - shift_at_j))))
-        checks["translation_invariance"].record(worst, TOL_IDENTITY)
-
-        # (c) concavity at a random mixing weight.
-        alpha = float(rng.uniform(0.0, 1.0))
-        u_mix = u_process(alpha * xi + (1.0 - alpha) * eta)
-        short = field_max(lambda a, b, m: alpha * a + (1.0 - alpha) * b - m, u_xi, u_eta, u_mix)
-        checks["concavity"].record(short, TOL_INEQUALITY)
-
-        # domination: u(xi + eta) - u(xi) <= E^mu(eta) node by node.
-        u_sum = u_process(xi + eta)
-        dom = solve(dominating, AdaptedField(lattice, [eta], start=lattice.steps)).y
-        excess = field_max(lambda s, a, d: s - a - d, u_sum, u_xi, dom)
-        checks["domination"].record(excess, TOL_INEQUALITY)
-
-        # (g) local property: mixing along a step-k event mixes the utilities.
-        event = rng.uniform(size=lattice.node_count(k)) < 0.5
-        event_lift = event[lattice.terminal_ancestors(k)]
-        u_mixed = u_process(np.where(event_lift, xi, eta))[k]
-        expected = np.where(event, u_xi[k], u_eta[k])
-        checks["local_property"].record(float(np.max(np.abs(u_mixed - expected))), TOL_IDENTITY)
-
-        # (f) time consistency: restart the solve from the step-k utility field.
-        mid_claim = AdaptedField(lattice, [u_xi[k].copy()], start=k)
-        restarted = utility_solution(driver, mid_claim).y
-        drift = field_max(lambda r, u: np.abs(r - u), restarted, u_xi)  # restarted: steps 0..k
-        checks["time_consistency"].record(drift, TOL_IDENTITY)
-
+    tolerance = {**dict.fromkeys(names, TOL_IDENTITY), "strict_monotonicity": 0.5,
+                 **dict.fromkeys(("monotonicity", "concavity", "domination"), TOL_INEQUALITY)}
+    claims_per_trial = 9 + driver.positively_homogeneous
+    for block in _trial_blocks(trials, claims_per_trial * node_total(lattice.topology,
+                                                                     lattice.steps)):
+        draws = _AxiomDraws(lattice, rng, len(block), claim_bound,
+                            driver.positively_homogeneous)
         if driver.positively_homogeneous:
-            lam = float(rng.uniform(0.1, 3.0))
-            u_scaled = u_process(lam * xi)
-            gap = field_max(lambda s, a: np.abs(s - lam * a), u_scaled, u_xi)
-            checks["positive_homogeneity"].record(gap, TOL_IDENTITY * max(1.0, lam))
+            tolerance["positive_homogeneity"] = TOL_IDENTITY * np.maximum(1.0, draws.lam)
+        for name, margins in _axiom_margins(driver, dominating, lattice, draws).items():
+            checks[name].record_many(margins, tolerance[name])
 
     return AxiomSuiteReport(driver.name, trials, checks)
+
+
+class _AxiomDraws:
+    """The random numbers of `count` axiom trials, drawn trial by trial, one row each.
+
+    A step-k shift or event is kept lifted to the terminal step, where its
+    value at a step-j node (j >= k) sits every 2**(N - j) entries.
+    """
+
+    def __init__(self, lattice: Lattice, rng: np.random.Generator, count: int,
+                 bound: float, homogeneous: bool):
+        n = lattice.node_count(lattice.steps)
+        self.xi, self.eta, bump, self.lifted = (np.empty((count, n)) for _ in range(4))
+        self.event_lift = np.empty((count, n), dtype=bool)
+        self.const, self.alpha, self.lam = np.empty(count), np.empty(count), np.ones(count)
+        atom, self.k = np.empty(count, dtype=int), np.empty(count, dtype=int)
+        for i in range(count):
+            self.xi[i] = rng.uniform(-bound, bound, size=n)
+            self.eta[i] = rng.uniform(-bound, bound, size=n)
+            self.const[i] = rng.uniform(-bound, bound)
+            bump[i] = rng.uniform(0.0, bound, size=n)
+            atom[i] = rng.integers(n)
+            k = self.k[i] = int(rng.integers(1, lattice.steps))
+            ancestors = lattice.terminal_ancestors(k)
+            self.lifted[i] = rng.uniform(-bound, bound, size=lattice.node_count(k))[ancestors]
+            self.alpha[i] = rng.uniform(0.0, 1.0)
+            self.event_lift[i] = (rng.uniform(size=lattice.node_count(k)) < 0.5)[ancestors]
+            if homogeneous:
+                self.lam[i] = rng.uniform(0.1, 3.0)
+        spike = np.zeros((count, n))
+        spike[np.arange(count), atom] = 0.25 * bound  # one strictly better terminal atom
+        xi, eta = self.xi, self.eta
+        alpha = self.alpha[:, None]
+        # (claim, trial, node), in the order `_axiom_margins` unpacks the utilities
+        self.claims = np.stack([xi, eta, np.repeat(self.const[:, None], n, axis=1),
+                                xi + bump, xi + spike, xi + self.lifted,
+                                alpha * xi + (1.0 - alpha) * eta, xi + eta,
+                                np.where(self.event_lift, xi, eta)]
+                               + ([self.lam[:, None] * xi] if homogeneous else []))
+
+
+def _axiom_margins(driver: Driver, dominating: Driver, lattice: Lattice,
+                   draws: _AxiomDraws) -> dict[str, np.ndarray]:
+    """Every axiom check's margin per trial, reduced step by step over the sweeps."""
+    steps = lattice.steps
+    count = draws.xi.shape[0]
+    alpha, const, lam = draws.alpha[:, None], draws.const[:, None], draws.lam[:, None]
+    utility_step = driver_step(driver, lattice, -1.0)
+    sweep = lattice.sweep(steps, draws.claims.reshape(-1, draws.claims.shape[-1]), utility_step)
+    dominated = lattice.sweep(steps, draws.eta, driver_step(dominating, lattice, 1.0))
+
+    margins = {name: np.full(count, -np.inf) for name in
+               ("zero_normalisation", "monotonicity", "concavity", "domination")}
+    if driver.positively_homogeneous:
+        margins["positive_homogeneity"] = np.full(count, -np.inf)
+    shifted, local, drift = np.zeros(count), np.zeros(count), np.zeros(count)
+    restarts = []  # (trials, sweep restarted at their step k from u(xi)_k)
+
+    def fold(name: str, gaps: np.ndarray):
+        np.maximum(margins[name], np.max(gaps, axis=-1), out=margins[name])
+
+    for (j, values), (_, dom) in zip(sweep, dominated):
+        u_xi, u_eta, u_const, u_higher, u_spiked, u_shifted, u_mix, u_sum, u_mixed, *u_scaled = \
+            values.reshape(len(draws.claims), count, -1)
+        # u(c) = c contains u(0) = 0; adding a nonnegative claim never lowers u
+        fold("zero_normalisation", np.abs(u_const - const))
+        fold("monotonicity", u_xi - u_higher)
+        fold("concavity", alpha * u_xi + (1.0 - alpha) * u_eta - u_mix)
+        # u(xi + eta) - u(xi) <= E^mu(eta) node by node
+        fold("domination", u_sum - u_xi - dom)
+        if u_scaled:
+            fold("positive_homogeneity", np.abs(u_scaled[0] - lam * u_xi))
+        # a step-k shift passes through u from step k on
+        stride = 2 ** (steps - j)
+        gap = np.max(np.abs(u_shifted - u_xi - draws.lifted[:, ::stride]), axis=-1)
+        np.maximum(shifted, np.where(draws.k <= j, gap, 0.0), out=shifted)
+
+        # time consistency: the solve restarted at step k from u(xi)_k is u(xi) below k
+        for trials, restarted in restarts:
+            _, again = next(restarted)
+            drift[trials] = np.maximum(drift[trials], np.max(np.abs(again - u_xi[trials]), axis=-1))
+        at_k = np.flatnonzero(draws.k == j)
+        if at_k.size:  # local property: mixing along a step-k event mixes the utilities
+            expected = np.where(draws.event_lift[at_k, ::stride], u_xi[at_k], u_eta[at_k])
+            local[at_k] = np.max(np.abs(u_mixed[at_k] - expected), axis=-1)
+            restarted = lattice.sweep(j, u_xi[at_k], utility_step)
+            next(restarted)  # the restart's own step k is u(xi)_k itself: drift 0
+            restarts.append((at_k, restarted))
+        if j == 0:
+            gain = u_spiked[:, 0] - u_xi[:, 0]
+            margins["strict_monotonicity"] = np.where(gain > 0.0, 0.0, 1.0)
+
+    margins.update(translation_invariance=shifted, local_property=local, time_consistency=drift)
+    return margins

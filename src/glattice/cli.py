@@ -57,8 +57,9 @@ SUITES = ("axioms", "supermartingale", "monotone_family", "pasting", "truncation
 # nodes one `converge` ladder may sweep: about 12 s at ~11.6 ns per node
 CONVERGE_NODE_BUDGET = 10**9
 # grid nodes times trials the randomized `props` suites may sweep, a trial counted
-# as at least TRIAL_NODE_FLOOR nodes: below that its per-step work dominates, so a
-# trial costs 0.04-0.55 us per counted node, and the budget is at most about 30 s
+# as at least TRIAL_NODE_FLOOR nodes: below that its per-step work dominates.  With
+# trials swept in stacked blocks a trial costs 0.002-0.11 us per counted node (2-vCPU
+# host), so the budget is at most about 6 s
 TRIAL_NODE_BUDGET = 5 * 10**7
 TRIAL_NODE_FLOOR = 4096
 

@@ -85,14 +85,21 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
     simply never attain the sup; an all-infinite fun raises (empty effective
     domain).
     """
+    per_axis = _points_per_axis(dim, points)
+    return _refined_sup(fun, t, slopes, radius, dim, per_axis,
+                        _coarse_grid(fun, t, radius, dim, per_axis))
+
+
+def _points_per_axis(dim: int, points: int | None = None) -> int:
     if dim not in GRID_POINTS_PER_AXIS:
         raise ValueError(f"tensor grids support dimensions {sorted(GRID_POINTS_PER_AXIS)}, "
                          f"got {dim}")
-    slopes_arr = np.asarray(slopes, dtype=float)
-    single = slopes_arr.ndim == 0 if dim == 1 else slopes_arr.ndim == 1
-    rows = np.atleast_1d(slopes_arr) if dim == 1 else np.atleast_2d(slopes_arr)
+    return points if points is not None else GRID_POINTS_PER_AXIS[dim]
 
-    per_axis = points if points is not None else GRID_POINTS_PER_AXIS[dim]
+
+def _coarse_grid(fun: Callable[[float, Array], Array], t: float, radius: float, dim: int,
+                 per_axis: int) -> tuple[Array, Array]:
+    """The coarse grid points where fun(t, .) is finite, and those values, both read-only."""
     pts = _tensor_grid(radius, dim, per_axis)
     fvals = np.asarray(fun(t, pts), dtype=float)
     finite = np.isfinite(fvals)
@@ -100,6 +107,17 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
         raise ValueError("empty effective domain: the function is +inf on the whole grid")
     # an infinite point never attains the sup, so the first arg max over the rest is unchanged
     pts, fvals = pts[finite], fvals[finite]
+    pts.flags.writeable = fvals.flags.writeable = False
+    return pts, fvals
+
+
+def _refined_sup(fun: Callable[[float, Array], Array], t: float, slopes, radius: float,
+                 dim: int, per_axis: int, coarse: tuple[Array, Array]) -> Array:
+    """`grid_sup_of_linear_minus` from its `_coarse_grid`."""
+    slopes_arr = np.asarray(slopes, dtype=float)
+    single = slopes_arr.ndim == 0 if dim == 1 else slopes_arr.ndim == 1
+    rows = np.atleast_1d(slopes_arr) if dim == 1 else np.atleast_2d(slopes_arr)
+    pts, fvals = coarse
 
     spacing = 2.0 * radius / (per_axis - 1) if per_axis > 1 else radius
     refine_axis = REFINE_POINTS_PER_AXIS[dim]
@@ -165,8 +183,16 @@ def fenchel(driver: Driver) -> PenaltyIntegrand:
         else:
             z_max = 8.0 * max(1.0, mu if mu is not None else 1.0)
 
+        per_axis = _points_per_axis(dim)
+        latest = (None, None)  # (t, its coarse grid): the dual's search asks at one t many times
+
         def inner(t, q, _zmax=z_max):
-            return grid_sup_of_linear_minus(driver.evaluate, t, q, _zmax, dim)
+            nonlocal latest
+            seen, coarse = latest
+            if seen != t:
+                coarse = _coarse_grid(driver.evaluate, t, _zmax, dim, per_axis)
+                latest = (t, coarse)
+            return _refined_sup(driver.evaluate, t, q, _zmax, dim, per_axis, coarse)
 
     def evaluate(t, q):
         vals = np.asarray(inner(t, q), dtype=float)

@@ -5,6 +5,9 @@ the recombining random walk (step k carries k+1 nodes) or the full binary
 tree of paths (step k carries 2**k nodes).  Adapted fields attach one value
 per node and step, predictable controls one value per node for each
 transition, and stopping times are absorbing families of per-step node sets.
+The sweep kernel (`child_values`, `push`, `sweep`, `hitting_time`) works on
+the last axis, so per-step arrays with a leading row axis run many trials
+through one sweep, each row bitwise the sweep of that row alone.
 
 Everything here is read-only after construction and safe to share across
 threads.
@@ -20,6 +23,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 FULL_BINARY_MAX_STEPS = 20
+# nodes (rows times grid nodes) one block of a stacked trial sweep may hold
+BATCH_NODES = 2**20
 
 
 class TreeTopology(enum.Enum):
@@ -112,14 +117,21 @@ class Lattice:
         This is the one shape check of per-step node data; every fault names
         its step, a step outside the grid through `node_count`.
         """
+        return self._checked_steps(values, first, last, dtype, stacked=False)
+
+    def _checked_steps(self, values: Sequence, first: int, last: int | None, dtype,
+                       stacked: bool) -> list[np.ndarray]:
+        """`per_step`; when `stacked`, every step shares the first array's leading (row) axes."""
         arrays = [np.asarray(v, dtype=dtype) for v in values]
         last = first + max(len(arrays), 1) - 1 if last is None else last
         if len(arrays) != last + 1 - first:
             raise ValueError(f"step {first + min(len(arrays), last + 1 - first)}: need one "
                              f"array per step {first}..{last}, got {len(arrays)}")
+        rows = arrays[0].shape[:-1] if stacked and arrays else ()
         for k, vec in enumerate(arrays, start=first):
-            if vec.shape != (self.node_count(k),):
-                raise ValueError(f"step {k}: expected {self.node_count(k)} node values, "
+            if vec.shape != (*rows, self.node_count(k)):
+                raise ValueError(f"step {k}: expected {self.node_count(k)} node values"
+                                 f"{f' per row of {rows}' if rows else ''}, "
                                  f"got shape {vec.shape}")
         return arrays
 
@@ -149,11 +161,11 @@ class Lattice:
         return levels
 
     def child_values(self, values_at_next_step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a step-(k+1) vector into (down, up) children aligned with step-k nodes."""
+        """Split step-(k+1) values (nodes on the last axis) into (down, up) children of step k."""
         v = values_at_next_step
         if self.topology is TreeTopology.RECOMBINING:
-            return v[:-1], v[1:]
-        return v[0::2], v[1::2]
+            return v[..., :-1], v[..., 1:]
+        return v[..., 0::2], v[..., 1::2]
 
     def increment(self, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         """The increment z = (up - down) / (2 sqrt(dt)) of a step, from its (down, up) children."""
@@ -164,19 +176,23 @@ class Lattice:
 
         Each node sends `down * v` to its down child and `up * v` to its up
         child; where recombining children merge the two contributions add
-        (an OR for boolean masks).
+        (an OR for boolean masks).  Nodes run along the last axis.
         """
         to_down = values * down
         to_up = values * up
+        shape = to_down.shape
+        if to_up.shape != shape:
+            shape = np.broadcast(to_down, to_up).shape
+        *rows, nodes = shape
         dtype = np.result_type(to_down, to_up)
         if self.topology is TreeTopology.RECOMBINING:
-            out = np.zeros(to_down.size + 1, dtype=dtype)
-            out[:-1] += to_down
-            out[1:] += to_up
+            out = np.zeros((*rows, nodes + 1), dtype=dtype)
+            out[..., :-1] += to_down
+            out[..., 1:] += to_up
             return out
-        out = np.empty(2 * to_down.size, dtype=dtype)
-        out[0::2] = to_down
-        out[1::2] = to_up
+        out = np.empty((*rows, 2 * nodes), dtype=dtype)
+        out[..., 0::2] = to_down
+        out[..., 1::2] = to_up
         return out
 
     def sweep(self, start: int, values: np.ndarray,
@@ -184,16 +200,18 @@ class Lattice:
         """Backward dynamic program v_k = step(k, down, up) over the children of v_{k+1}.
 
         Lazily yields (start, values), then (k, v_k) for k = start-1 .. 0: collect
-        it for a whole field or stop at the step needed.  A NaN from a step is an
-        error reported at its node; +inf passes through.
+        it for a whole field or stop at the step needed.  `values` may stack
+        rows on a leading axis, one trial each.  A NaN from a step is an error
+        reported at its row and node; +inf passes through.
         """
         yield start, values
         for k in reversed(range(start)):
             values = step(k, *self.child_values(values))
             lowest = values.min()
-            if lowest != lowest:  # min propagates NaN, so this is the whole-vector test
-                raise ValueError(f"backward step produced NaN at "
-                                 f"{NodeId(k, int(np.argmax(np.isnan(values))))}")
+            if lowest != lowest:  # min propagates NaN, so this is the whole-array test
+                *row, index = np.unravel_index(int(np.argmax(np.isnan(values))), values.shape)
+                where = f"in row {int(row[0])} " if row else ""
+                raise ValueError(f"backward step produced NaN {where}at {NodeId(k, int(index))}")
             yield k, values
 
     def terminal_ancestors(self, step: int) -> np.ndarray:
@@ -201,6 +219,12 @@ class Lattice:
         if self.topology is not TreeTopology.FULL_BINARY:
             raise ValueError("path ancestry needs the full binary topology")
         return np.arange(2**self.steps) >> (self.steps - step)
+
+
+def _trial_blocks(trials: int, nodes_per_trial: int) -> Iterator[range]:
+    """Consecutive ranges of trial indices, each at most BATCH_NODES nodes, one trial at least."""
+    size = max(1, BATCH_NODES // max(1, nodes_per_trial))
+    return (range(lo, min(lo + size, trials)) for lo in range(0, trials, size))
 
 
 def node_total(topology: TreeTopology, steps: int) -> int:
@@ -342,6 +366,9 @@ class StoppingTime:
     flags must be absorbing (children of a reached node are reached) and the
     horizon is always reached.  The constructor checks both; the combinators
     and `hitting_time` build absorbing flags by construction and skip the check.
+    `hitting_time` of stacked events gives stacked flags, one stopping time per
+    row; the combinators work on them row by row, and `is_before` holds when
+    it holds on every row.
     """
 
     __slots__ = ("lattice", "reached")
@@ -413,10 +440,11 @@ def hitting_time(lattice: Lattice, event: Sequence[np.ndarray]) -> StoppingTime:
     On the full binary tree the result is the exact pathwise hitting time; on
     the recombining tree merged paths share flags, so the result is the entry
     time into the absorbing closure of the event (the smallest family of
-    per-node stop sets containing it).
+    per-node stop sets containing it).  The event may stack rows on a leading
+    axis (the same rows at every step): one stopping time per row, stacked.
     """
     reached: list[np.ndarray] = []
-    for k, mask in enumerate(lattice.per_step(event, 0, lattice.steps, dtype=bool)):
+    for k, mask in enumerate(lattice._checked_steps(event, 0, lattice.steps, bool, stacked=True)):
         reached.append(mask | (lattice.push(reached[k - 1], True, True) if k else False))
-    reached[lattice.steps] = np.ones(lattice.node_count(lattice.steps), dtype=bool)
+    reached[lattice.steps] = np.ones(reached[lattice.steps].shape, dtype=bool)
     return StoppingTime._trusted(lattice, reached)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .lattice import (
     PredictableControl,
     StoppingTime,
     TreeTopology,
+    _trial_blocks,
     hitting_time,
+    node_total,
 )
 from .measure import (
     MeasureChange,
@@ -46,32 +48,41 @@ from .measure import (
 
 def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableControl) -> list[np.ndarray]:
     """f(t_k, q_k) per node, with +inf wherever the control leaves the domain."""
-    lat = control.lattice
-    return [np.asarray(integrand(lat.grid.time(k), control[k]), dtype=float)
-            for k in range(lat.steps)]
+    cost = _integrand_at(integrand, control)
+    return [cost(k) for k in range(control.lattice.steps)]
+
+
+def _integrand_at(integrand: PenaltyIntegrand,
+                  control: PredictableControl) -> Callable[[int], np.ndarray]:
+    """k -> f(t_k, q_k): one step of `integrand_on_control`, evaluated when asked for."""
+    time = control.lattice.grid.time
+    return lambda k: np.asarray(integrand(time(k), control[k]), dtype=float)
 
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
                            sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
     """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
-    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure,
+    sweep = _window_sweep(_integrand_at(integrand, measure.control), measure,
                           between_masks(sigma, tau))
     return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
-def _window_sweep(fq: list[np.ndarray], measure: MeasureChange,
+def _window_sweep(cost: Callable[[int], np.ndarray], measure: MeasureChange,
                   inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
-    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) and the window's indicators.
+    """Lazily (k, R_k) for k = N .. 0, given k -> f(t_k, q_k) and the window's indicators.
 
     `inside[k]` flags the step-k nodes whose transition lies in the window: a
     `between_masks` mask, or one bool per step for a deterministic window.
+    Masks stacked on a leading axis sweep one window per row.
     """
     lat = measure.lattice
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        return np.where(inside[k], fq[k] * lat.dt, 0.0) + measure.one_step_expectation(k, down, up)
+        charge = np.where(inside[k], cost(k) * lat.dt, 0.0)
+        return charge + measure.one_step_expectation(k, down, up)
 
-    return lat.sweep(lat.steps, np.zeros(lat.node_count(lat.steps)), step)
+    rows = np.shape(inside[lat.steps - 1])[:-1]  # () for a bool or one mask a step
+    return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))), step)
 
 
 @dataclass
@@ -102,7 +113,7 @@ def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    sweep = _window_sweep(integrand_on_control(integrand, measure.control), measure,
+    sweep = _window_sweep(_integrand_at(integrand, measure.control), measure,
                           [start <= k < stop for k in range(lat.steps)])
     window = [v for _, v in islice(sweep, lat.steps - stop, lat.steps - start + 1)]
     return PenaltyField(AdaptedField(lat, window[::-1], start=start))
@@ -117,13 +128,11 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
     case of evaluation at sigma.  Returns +inf if the infinite-penalty node
     sets of the three processes are inconsistent.
     """
-    head, tail = between_masks(sigma, tau), between_masks(tau, upsilon)
-    whole = [h | t for h, t in zip(head, tail)]
-    fq = integrand_on_control(integrand, measure.control)
+    windows = [np.stack((h | t, h, t))
+               for h, t in zip(between_masks(sigma, tau), between_masks(tau, upsilon))]
     worst = 0.0
-    for (_, w), (_, h), (_, t) in zip(_window_sweep(fq, measure, whole),
-                                      _window_sweep(fq, measure, head),
-                                      _window_sweep(fq, measure, tail)):
+    for _, (w, h, t) in _window_sweep(_integrand_at(integrand, measure.control), measure,
+                                      windows):
         combined_inf = np.isinf(h) | np.isinf(t)
         if not np.array_equal(np.isinf(w), combined_inf):
             return math.inf
@@ -206,7 +215,7 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
-    penalty = _window_sweep(fq, measure, [True] * lat.steps)
+    penalty = _window_sweep(fq.__getitem__, measure, [True] * lat.steps)
     expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
     residual = max(float(np.max(np.abs(c - (tail - acc.a[k]))))
                    for (k, c), (_, tail) in zip(penalty, expected_tail))
@@ -408,8 +417,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     whole = [True] * lat.steps
 
     def root_penalty(ctrl: PredictableControl, fq: list[np.ndarray] | None = None) -> float:
-        fq = integrand_on_control(integrand, ctrl) if fq is None else fq
-        sweep = _window_sweep(fq, density_from_control(ctrl), whole)
+        cost = _integrand_at(integrand, ctrl) if fq is None else fq.__getitem__
+        sweep = _window_sweep(cost, density_from_control(ctrl), whole)
         return float(next(v for k, v in sweep if k == 0)[0])
 
     fq = integrand_on_control(integrand, control)
@@ -450,51 +459,74 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
 # -- pathwise helpers (full binary) ------------------------------------------
 
 
-def _stopped_process(process: AdaptedField, stop: StoppingTime) -> AdaptedField:
-    """Freeze an adapted process at a stopping time (full binary); the last step is X at tau per path."""
-    lat = process.lattice
+def _stopped_process(process, stop: StoppingTime) -> list[np.ndarray]:
+    """Freeze a process (its steps 0..N by index) at a stopping time (full binary), step by step.
+
+    The last step is X at tau per path.  A stacked stopping time, or a
+    process stacked on a leading axis, freezes one row per trial.
+    """
+    lat = stop.lattice
     vals = [process[0].copy()]
     for k in range(lat.steps):
         stopped = lat.push(stop.reached[k], True, True)
         vals.append(np.where(stopped, lat.push(vals[k], 1.0, 1.0), process[k + 1]))
-    return AdaptedField(lat, vals, start=0)
+    return vals
 
 
-def _window_utility_at_stop(driver: Driver, claim_frozen: AdaptedField,
+def _window_utility_at_stop(driver: Driver, claim_frozen: Sequence[np.ndarray],
                             sigma: StoppingTime, tau: StoppingTime) -> np.ndarray:
-    """u over the window ]]sigma, tau]] of a claim frozen at tau, per path at sigma."""
-    lat = claim_frozen.lattice
+    """u over the window ]]sigma, tau]] of a claim (steps 0..N) frozen at tau, per path at sigma."""
+    lat = sigma.lattice
     utility_step = bsde.driver_step(driver, lat, -1.0, check_radius=False)
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         return np.where(tau.reached[k], claim_frozen[k], utility_step(k, down, up))
 
     fields = [v for _, v in lat.sweep(lat.steps, claim_frozen[lat.steps], step)]
-    return _stopped_process(AdaptedField(lat, fields[::-1], start=0), sigma)[lat.steps]
+    return _stopped_process(fields[::-1], sigma)[lat.steps]
 
 
 # -- supermartingale / appendix suite ----------------------------------------
 
 
-def _random_stopping_time(lattice: Lattice, rng: np.random.Generator) -> StoppingTime:
-    kind = int(rng.integers(3))
-    if kind == 0:
-        return StoppingTime.deterministic(lattice, int(rng.integers(lattice.steps + 1)))
-    if kind == 1:
-        barrier = float(rng.uniform(0.3, 2.0)) * math.sqrt(lattice.horizon)
-        event = [np.abs(lattice.level_values(k)) >= barrier for k in range(lattice.steps + 1)]
-        return hitting_time(lattice, event)
-    p = float(rng.uniform(0.02, 0.25))
-    event = [rng.uniform(size=lattice.node_count(k)) < (p if k > 0 else 0.0)
-             for k in range(lattice.steps + 1)]
-    return hitting_time(lattice, event)
+def _random_stopping_pairs(lattice: Lattice, rng: np.random.Generator,
+                           count: int) -> tuple[StoppingTime, StoppingTime]:
+    """`count` ordered pairs sigma <= tau, stacked one pair per row.
+
+    Each pair draws two random times a, b in turn; a time is a deterministic
+    step, the first exit of the walk from a random band, or the first hit of
+    a random node set, and (sigma, tau) = (a min b, a max b).  All events
+    are drawn first, then one stacked `hitting_time` builds every time.
+    """
+    steps = lattice.steps
+    sizes = [lattice.node_count(k) for k in range(steps + 1)]
+    step_of = np.repeat(np.arange(steps + 1), sizes)
+    levels = None
+    events = np.empty((2 * count, step_of.size), dtype=bool)
+    for event in events:
+        kind = int(rng.integers(3))
+        if kind == 0:
+            np.greater_equal(step_of, int(rng.integers(steps + 1)), out=event)
+        elif kind == 1:
+            if levels is None:
+                levels = np.abs(np.concatenate([lattice.level_values(k) for k in range(steps + 1)]))
+            np.greater_equal(levels, float(rng.uniform(0.3, 2.0)) * math.sqrt(lattice.horizon),
+                             out=event)
+        else:
+            # one draw of all steps is the draws step by step; step 0 is never hit
+            p = float(rng.uniform(0.02, 0.25))
+            np.less(rng.uniform(size=step_of.size), p, out=event)
+            event[0] = False
+    starts = np.cumsum([0] + sizes)
+    both = hitting_time(lattice, [events[:, lo:hi] for lo, hi in zip(starts, starts[1:])]).reached
+    return (StoppingTime._trusted(lattice, [m[0::2] | m[1::2] for m in both]),
+            StoppingTime._trusted(lattice, [m[0::2] & m[1::2] for m in both]))
 
 
 def random_stopping_pair(lattice: Lattice, rng: np.random.Generator) -> tuple[StoppingTime, StoppingTime]:
     """An ordered pair sigma <= tau of stopping times, via the min/max combinators."""
-    a = _random_stopping_time(lattice, rng)
-    b = _random_stopping_time(lattice, rng)
-    return a.minimum(b), a.maximum(b)
+    return tuple(StoppingTime._trusted(lattice, [m[0] for m in stop.reached])
+                 for stop in _random_stopping_pairs(lattice, rng, 1))
 
 
 @dataclass
@@ -554,36 +586,40 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
             driver, AdaptedField(lat, [acceptable_claim], start=lat.steps)).y
         acceptance_residual = 0.0
 
-    # ]]sigma, N]] is sigma.reached, and random_stopping_pair orders sigma <= tau
+    # ]]sigma, N]] is sigma.reached, and each drawn pair is ordered sigma <= tau
     fq = integrand_on_control(integrand, measure.control)
-    for _ in range(trials):
-        sigma, tau = random_stopping_pair(lat, rng)
-        for (_, a), (_, b) in zip(_window_sweep(fq, measure, sigma.reached),
-                                  _window_sweep(fq, measure, tau.reached)):
+    for block in _trial_blocks(trials, 2 * node_total(lat.topology, lat.steps)):
+        sigma, tau = _random_stopping_pairs(lat, rng, len(block))
+        rows = len(block)
+        # every trial's window from sigma, then every trial's from tau, as rows of one sweep
+        both = [np.concatenate((s, t)) for s, t in zip(sigma.reached, tau.reached)]
+        for _, r in _window_sweep(fq.__getitem__, measure, both):
+            a, b = r[:rows], r[rows:]
             finite = np.isfinite(a) & np.isfinite(b)
-            if np.any(finite):
-                inequality.record(float(np.max(b[finite] - a[finite])), bsde.TOL_IDENTITY)
+            gaps = np.subtract(b, a, out=np.full(a.shape, -np.inf), where=finite)
+            inequality.record_many(np.max(gaps, axis=-1)[np.any(finite, axis=-1)],
+                                   bsde.TOL_IDENTITY)
 
         if oracle_part:
-            window = _window_sweep(fq, measure, between_masks(sigma, tau))
-            window_root = next(v for k, v in window if k == 0)[0]
+            window = _window_sweep(fq.__getitem__, measure, between_masks(sigma, tau))
+            window_root = next(v for k, v in window if k == 0)[:, 0]
             sigma_frozen = _stopped_process(u_process, sigma)
             frozen = _stopped_process(u_process, tau)
             u_tau = frozen[lat.steps]
-            lemma_bound = float(weights @ (sigma_frozen[lat.steps] - u_tau)) + eps
-            bound.record(float(window_root) - lemma_bound, bsde.TOL_IDENTITY)
+            below = sigma_frozen[lat.steps] - u_tau
+            # one dot product a row: a matrix product may sum in another order
+            lemma_bound = np.array([float(weights @ row) for row in below]) + eps
+            bound.record_many(window_root - lemma_bound, bsde.TOL_IDENTITY)
 
             # xi - u_tau(xi) is acceptable over [tau, T]: utility zero at tau.
-            tail_claim = acceptable_claim - u_tau
-            tail_u = bsde.utility_solution(
-                driver, AdaptedField(lat, [tail_claim], start=lat.steps)).y
-            res = float(np.max(np.abs(_stopped_process(tail_u, tau)[lat.steps])))
+            tail_u = [v for _, v in lat.sweep(lat.steps, acceptable_claim - u_tau,
+                                              bsde.driver_step(driver, lat, -1.0))]
+            res = np.max(np.abs(_stopped_process(tail_u[::-1], tau)[lat.steps]), axis=-1)
             # u_tau(xi) - u_sigma(xi) is acceptable over [sigma, tau].
-            middle_claim = AdaptedField(
-                lat, [frozen[k] - sigma_frozen[k] for k in range(lat.steps + 1)], start=0)
-            res = max(res, float(np.max(np.abs(
-                _window_utility_at_stop(driver, middle_claim, sigma, tau)))))
-            acceptance_residual = max(acceptance_residual, res)
+            middle_claim = [f - s for f, s in zip(frozen, sigma_frozen)]
+            res = np.maximum(res, np.max(np.abs(
+                _window_utility_at_stop(driver, middle_claim, sigma, tau)), axis=-1))
+            acceptance_residual = max(acceptance_residual, float(np.max(res)))
 
     return SupermartingaleReport(
         trials=trials,
