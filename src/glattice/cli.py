@@ -35,7 +35,6 @@ from .lattice import (
     StoppingTime,
     TreeTopology,
     build_grid,
-    field_max,
     node_total,
     terminal_field,
 )
@@ -65,7 +64,9 @@ TRIAL_NODE_FLOOR = 4096
 
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
-    "price": 3 * 8 + 1,  # the utility's y, the dual's u and argmin control; clamp flags
+    # price sweeps its two recursions in lock step and holds O(N); this row stays as a
+    # conservative size bound until a budget on nodes swept replaces it
+    "price": 3 * 8 + 1,
     "penalty": 4 * 8,  # control, up-probabilities, f(t, q), window or Doob cost (cocycle: 6 masks)
     "supermartingale": 3 * 8 + 6,  # control, up-probabilities, f(t, q); 6 stop masks
     "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f and up-probs; 4 masks
@@ -372,26 +373,21 @@ def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
 def cmd_price(config: ExperimentConfig) -> RunReport:
     """Price a claim twice (driver recursion and dual recursion) and compare."""
     report = RunReport("price", config.seed, __version__)
-    lattice = config.build_lattice()
     driver = config.build_driver()
-    claim = config.build_claim(lattice)
-    fixture = f"{config.driver_spec};{config.claim_spec};N={lattice.steps}"
+    claim = config.build_claim(config.build_lattice())
+    fixture = f"{config.driver_spec};{config.claim_spec};N={config.steps}"
 
-    utility_value = bsde.utility_solution(driver, claim)
     integrand = config.build_integrand(driver)
-    dual_solution = dual.dual_utility(integrand, claim)
-    gap = field_max(lambda a, b: np.abs(a - b), utility_value.y, dual_solution.u)
+    u0, dual_u0, gap, q0, clamped = dual.compare_prices(driver, integrand, claim)
     tol = config.tolerance("duality_gap")
-    comparable = config.integrand_spec == "conjugate"
+    # the gap is an identity only when the integrand is the driver's conjugate
+    comparable = bind_spec(config.integrand_spec, INTEGRANDS, "integrand", driver)[0] == "conjugate"
+    closed = gap <= tol or not comparable
 
-    report.add("u0", fixture, float(utility_value.y[0][0]), float(dual_solution.u[0][0]),
-               tol, (gap <= tol) if comparable else True)
-    report.add("duality_gap_max", fixture, gap, 0.0, tol if comparable else "",
-               (gap <= tol) if comparable else True)
-    q0 = dual_solution.argmin_control[0]
-    report.add("worst_control_root", fixture, float(q0[0]), "", "", True)
-    report.add("clamped_nodes", fixture, int(sum(int(np.sum(c)) for c in dual_solution.clamped)),
-               0, "", True)
+    report.add("u0", fixture, u0, dual_u0, tol, closed)
+    report.add("duality_gap_max", fixture, gap, 0.0, tol if comparable else "", closed)
+    report.add("worst_control_root", fixture, q0, "", "", True)
+    report.add("clamped_nodes", fixture, clamped, 0, "", True)
     return report
 
 

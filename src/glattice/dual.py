@@ -17,7 +17,7 @@ import numpy as np
 
 from .conjugate import PenaltyIntegrand, fenchel, truncate_integrand
 from .drivers import Driver
-from .lattice import AdaptedField, NodeId, PredictableControl, field_max
+from .lattice import AdaptedField, Lattice, NodeId, PredictableControl
 from . import bsde
 
 ADMISSIBILITY_MARGIN = 1e-6
@@ -70,32 +70,22 @@ def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) ->
     return (a + b) / 2.0
 
 
-def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
-    """Backward min-over-controls recursion for the penalised worst-case value.
+def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
+    """The sweep step u_k = mean + (q z_k + f(t_k, q)) dt, q the one-step minimiser.
 
-    The minimiser comes from the integrand's analytic formula when it carries
-    one, else from a vectorised golden-section search on the admissible
-    interval; convexity of the one-step objective in q makes both exact up to
-    their stated tolerances.
+    q is the integrand's analytic minimiser when it has one, else a golden-section
+    search on the admissible interval; each step reports `record(k, q, clamped)`.
     """
-    vec = terminal.bounded_values()
-    lattice = terminal.lattice
-    t_step = terminal.start
-
     dt = lattice.dt
     bound = (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt
     dom = integrand.domain_radius
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
 
-    controls: list[np.ndarray] = []
-    clamps: list[np.ndarray] = []
-
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         zed = lattice.increment(down, up)
         mean = (up + down) / 2.0
         t = lattice.grid.time(k)
-
         if integrand.step_minimizer is not None:
             free = np.asarray(integrand.step_minimizer(t, zed), dtype=float)
             q = np.clip(free, -bound, bound)
@@ -103,7 +93,6 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
         else:
             lo = np.full_like(zed, max(-dom, -bound))
             hi = np.full_like(zed, min(dom, bound))
-
             zed_twice = np.concatenate((zed, zed))
 
             def objective(qq):
@@ -117,27 +106,51 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
             bad = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise ValueError(f"integrand infinite at its own minimiser, {NodeId(k, bad)}; "
                              "the analytic minimiser must respect the effective domain")
-        controls.append(q)
-        clamps.append(clamp)
+        if record is not None:
+            record(k, q, clamp)
         return mean + (q * zed + fv) * dt
 
-    us = [u for _, u in lattice.sweep(t_step, vec.copy(), step)]
+    return step
+
+
+def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
+    """Backward min-over-controls recursion for the penalised worst-case value."""
+    lattice = terminal.lattice
+    sink: list[tuple[np.ndarray, np.ndarray]] = []  # (control, clamp flags), step start-1 first
+    step = dual_step(integrand, lattice, lambda k, *pair: sink.append(pair))
+    us = [u for _, u in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
     # Suffix steps of the control (beyond the claim window) stay at the neutral zero drift.
-    suffix = [np.zeros(lattice.node_count(k)) for k in range(t_step, lattice.steps)]
+    suffix = [np.zeros(lattice.node_count(k)) for k in range(terminal.start, lattice.steps)]
     return DualSolution(
         u=AdaptedField(lattice, us[::-1], start=0),
-        argmin_control=PredictableControl(lattice, controls[::-1] + suffix),
-        clamped=clamps[::-1] + [np.zeros(v.shape, dtype=bool) for v in suffix],
+        argmin_control=PredictableControl(lattice, [q for q, _ in sink[::-1]] + suffix),
+        clamped=[c for _, c in sink[::-1]] + [np.zeros(v.shape, dtype=bool) for v in suffix],
         integrand=integrand,
     )
 
 
+def compare_prices(driver: Driver, integrand: PenaltyIntegrand,
+                   terminal: AdaptedField) -> tuple[float, float, float, float, int]:
+    """(primal root, dual root, max nodewise |gap|, dual root control, clamped nodes).
+
+    The utility's driver step and the dual step run in lock step, in O(N) memory.
+    """
+    vec = terminal.bounded_values()
+    lattice = terminal.lattice
+    tally: list[tuple[float, int]] = []  # (control at node 0, clamped nodes), step 0 last
+    step = dual_step(integrand, lattice,
+                     lambda k, q, clamp: tally.append((float(q[0]), int(np.count_nonzero(clamp)))))
+    primal = lattice.sweep(terminal.start, vec.copy(), bsde.driver_step(driver, lattice, -1.0))
+    gap = 0.0
+    for (_, y), (_, u) in zip(primal, lattice.sweep(terminal.start, vec.copy(), step)):
+        gap = max(gap, float(np.max(np.abs(y - u))))
+    return (float(y[0]), float(u[0]), gap, tally[-1][0] if tally else 0.0,
+            sum(count for _, count in tally))
+
+
 def duality_gap(driver: Driver, terminal: AdaptedField) -> float:
     """Max nodewise gap between the driver recursion and the dual recursion."""
-    integrand = fenchel(driver)
-    primal = bsde.utility_solution(driver, terminal).y
-    dual = dual_utility(integrand, terminal).u
-    return field_max(lambda a, b: np.abs(a - b), primal, dual)
+    return compare_prices(driver, fenchel(driver), terminal)[2]
 
 
 def truncated_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, level: float) -> DualSolution:
@@ -174,14 +187,17 @@ def monotone_utility_check(integrand: PenaltyIntegrand, terminal: AdaptedField,
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
-    solutions = [truncated_utility(integrand, terminal, n) for n in levels]
-    worst_order = 0.0
-    for lowgate, highgate in zip(solutions, solutions[1:]):
-        worst_order = max(worst_order, field_max(lambda a, b: b - a, lowgate.u, highgate.u))
-    full = dual_utility(integrand, terminal)
-    worst_sat = math.inf
-    if levels and levels[-1] >= integrand.domain_radius:
-        worst_sat = field_max(lambda a, b: np.abs(a - b), solutions[-1].u, full.u)
+    lattice = terminal.lattice
+    sweeps = [lattice.sweep(terminal.start, terminal.bounded_values().copy(), dual_step(f, lattice))
+              for f in [*(truncate_integrand(integrand, n) for n in levels), integrand]]
+    saturating = bool(levels) and levels[-1] >= integrand.domain_radius
+    worst_order, worst_sat = 0.0, (0.0 if saturating else math.inf)
+    for *gated, (_, full) in zip(*sweeps):
+        gated = [u for _, u in gated]
+        for lowgate, highgate in zip(gated, gated[1:]):
+            worst_order = max(worst_order, float(np.max(highgate - lowgate)))
+        if saturating:
+            worst_sat = max(worst_sat, float(np.max(np.abs(gated[-1] - full))))
     return MonotoneUtilityReport(
         levels=levels,
         decreasing=worst_order <= bsde.TOL_IDENTITY,
@@ -200,8 +216,7 @@ def first_order_optimality(solution: DualSolution) -> float:
     """
     lattice = solution.u.lattice
     worst = -math.inf
-    t_step = solution.u.stop
-    for k in range(t_step):
+    for k in range(solution.u.stop):
         down, up = lattice.child_values(solution.u[k + 1])
         zed = lattice.increment(down, up)
         t = lattice.grid.time(k)
@@ -210,12 +225,11 @@ def first_order_optimality(solution: DualSolution) -> float:
         free = ~solution.clamped[k]
         if not np.any(free):
             continue
-        for sign in (-1.0, 1.0):
-            shifted = q + sign * 1e-4
-            vals = shifted * zed + np.asarray(solution.integrand(t, shifted), dtype=float)
-            with np.errstate(invalid="ignore"):
-                improvement = (base - vals)[free]
-            improvement = improvement[np.isfinite(improvement)]
-            if improvement.size:
-                worst = max(worst, float(np.max(improvement)))
+        shifted = np.concatenate((q - 1e-4, q + 1e-4))  # both probes in one elementwise call
+        vals = shifted * np.tile(zed, 2) + np.asarray(solution.integrand(t, shifted), dtype=float)
+        with np.errstate(invalid="ignore"):
+            improvement = (base - vals.reshape(2, -1))[:, free]
+        improvement = improvement[np.isfinite(improvement)]
+        if improvement.size:
+            worst = max(worst, float(np.max(improvement)))
     return 0.0 if worst == -math.inf else max(worst, 0.0)

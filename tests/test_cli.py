@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,26 @@ class TestCommands:
         assert main(["price", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "u0" in out and "PASS" in out
+
+    @pytest.mark.parametrize("spelling", ["conjugate", " conjugate", "conjugate ", "conjugate:"])
+    def test_price_gates_the_gap_however_conjugate_is_spelled(self, spelling, tmp_path, capsys):
+        # the mislabelled concave driver has no conjugate identity: a gap of about 7.8
+        cfg = write_config(tmp_path, driver="malformed", claim="abs_brownian",
+                           integrand=spelling, grid={"horizon": 1.0, "steps": 16})
+        assert main(["price", "--config", cfg]) == 1
+        assert "[FAIL] duality_gap_max" in capsys.readouterr().out
+
+    def test_price_streams_its_sweeps(self):
+        config = ExperimentConfig.from_dict({"driver": "entropic:1", "claim": "call:0.2",
+                                             "grid": {"horizon": 1.0, "steps": 2048}})
+        tracemalloc.start()
+        try:
+            report = COMMANDS["price"](config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.overall_pass
+        assert peak < 2 * 2**20  # the two full fields alone would take 51 MiB
 
     def test_penalty_desk_scale(self, tmp_path, capsys):
         cfg = write_config(

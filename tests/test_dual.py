@@ -6,7 +6,9 @@ import pytest
 
 import glattice as gl
 from glattice import dual
+from glattice.cli import INTEGRANDS
 from glattice.conjugate import PenaltyIntegrand
+from glattice.lattice import field_max
 from conftest import max_field_diff
 
 
@@ -310,3 +312,154 @@ class TestGoldenSectionBitwise:
             assert np.array_equal(sol.u[k], values[steps - k]), k
         for k in range(steps):
             assert np.array_equal(sol.argmin_control[k], controls[steps - 1 - k]), k
+
+
+def full_field_prices(driver, integrand, terminal):
+    """The five values of `compare_prices`, reduced from the two full fields."""
+    primal = gl.utility_solution(driver, terminal).y
+    sol = gl.dual_utility(integrand, terminal)
+    gap = field_max(lambda a, b: np.abs(a - b), primal, sol.u)
+    return (float(primal[0][0]), float(sol.u[0][0]), gap, float(sol.argmin_control[0][0]),
+            sum(int(np.sum(c)) for c in sol.clamped))
+
+
+def full_field_monotone(integrand, terminal, levels):
+    """(order violation, saturation gap) of `monotone_utility_check`, from full fields."""
+    solutions = [gl.truncated_utility(integrand, terminal, n) for n in levels]
+    worst_order = 0.0
+    for low, high in zip(solutions, solutions[1:]):
+        worst_order = max(worst_order, field_max(lambda a, b: b - a, low.u, high.u))
+    worst_sat = math.inf
+    if levels[-1] >= integrand.domain_radius:
+        full = gl.dual_utility(integrand, terminal)
+        worst_sat = field_max(lambda a, b: np.abs(a - b), solutions[-1].u, full.u)
+    return worst_order, worst_sat
+
+
+def two_pass_optimality(solution):
+    """`first_order_optimality` with one integrand call per probe sign."""
+    lat = solution.u.lattice
+    worst = -math.inf
+    for k in range(solution.u.stop):
+        down, up = lat.child_values(solution.u[k + 1])
+        zed = lat.increment(down, up)
+        t = lat.grid.time(k)
+        q = solution.argmin_control[k]
+        base = q * zed + np.asarray(solution.integrand(t, q), dtype=float)
+        free = ~solution.clamped[k]
+        if not np.any(free):
+            continue
+        for sign in (-1.0, 1.0):
+            shifted = q + sign * 1e-4
+            vals = shifted * zed + np.asarray(solution.integrand(t, shifted), dtype=float)
+            with np.errstate(invalid="ignore"):
+                improvement = (base - vals)[free]
+            improvement = improvement[np.isfinite(improvement)]
+            if improvement.size:
+                worst = max(worst, float(np.max(improvement)))
+    return 0.0 if worst == -math.inf else max(worst, 0.0)
+
+
+def bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+LOCK_STEP_INTEGRANDS = {
+    "analytic": lambda driver: gl.fenchel(driver),
+    "golden": lambda driver: dataclasses.replace(gl.fenchel(driver), step_minimizer=None),
+    "box": lambda driver: INTEGRANDS["box"](driver, 0.5),
+    "origin": lambda driver: INTEGRANDS["origin"](driver),
+    "quadratic": lambda driver: INTEGRANDS["quadratic"](driver, 2.0),
+    "clamping": lambda driver: INTEGRANDS["quadratic"](driver, 50.0),
+    # a minimiser of the wrong sign: larger gates raise the value, and probes improve on it
+    "misdirected": lambda driver: dataclasses.replace(
+        INTEGRANDS["quadratic"](driver, 1.0), step_minimizer=lambda t, zed: np.asarray(zed)),
+}
+
+
+class TestLockStepComparisons:
+    """The lock-step reductions give the bits of the full-field references."""
+
+    driver = gl.entropic(1.0, radius=64.0)
+
+    @staticmethod
+    def claim(topology, steps, at):
+        lat = gl.build_grid(1.0, steps, topology)
+        values = 0.6 * np.sin(2.0 * lat.level_values(at)) + np.maximum(lat.level_values(at), 0.0)
+        return gl.AdaptedField(lat, [values], start=at)
+
+    @pytest.mark.parametrize("name", sorted(LOCK_STEP_INTEGRANDS))
+    @pytest.mark.parametrize("topology,steps,at", [
+        (gl.TreeTopology.RECOMBINING, 16, 16), (gl.TreeTopology.RECOMBINING, 16, 11),
+        (gl.TreeTopology.FULL_BINARY, 6, 6), (gl.TreeTopology.FULL_BINARY, 6, 4)])
+    def test_compare_prices(self, name, topology, steps, at):
+        integrand = LOCK_STEP_INTEGRANDS[name](self.driver)
+        terminal = self.claim(topology, steps, at)
+        lock_step = dual.compare_prices(self.driver, integrand, terminal)
+        reference = full_field_prices(self.driver, integrand, terminal)
+        assert bits(lock_step) == bits(reference)
+        assert type(lock_step[4]) is int
+        assert lock_step[4] > 0 or name != "clamping"
+
+    @pytest.mark.parametrize("name", ["analytic", "golden"])
+    @pytest.mark.parametrize("topology,steps,at", [
+        (gl.TreeTopology.RECOMBINING, 32, 32), (gl.TreeTopology.FULL_BINARY, 6, 5)])
+    def test_duality_gap(self, name, topology, steps, at):
+        terminal = self.claim(topology, steps, at)
+        gap = gl.duality_gap(self.driver, terminal)
+        assert bits([gap]) == bits([full_field_prices(self.driver, gl.fenchel(self.driver),
+                                                      terminal)[2]])
+        integrand = LOCK_STEP_INTEGRANDS[name](self.driver)
+        assert dual.compare_prices(self.driver, integrand, terminal)[2] <= 1e-9
+
+    def test_claim_at_step_zero(self):
+        terminal = self.claim(gl.TreeTopology.RECOMBINING, 8, 0)
+        integrand = LOCK_STEP_INTEGRANDS["clamping"](self.driver)
+        lock_step = dual.compare_prices(self.driver, integrand, terminal)
+        assert bits(lock_step) == bits(full_field_prices(self.driver, integrand, terminal))
+        assert lock_step[3:] == (0.0, 0)
+
+    @pytest.mark.parametrize("name", ["analytic", "golden", "box", "origin", "misdirected"])
+    @pytest.mark.parametrize("levels", [(0.0, 0.5, 1.0, 64.0), (0.25, 1.0)])
+    @pytest.mark.parametrize("topology,steps,at", [
+        (gl.TreeTopology.RECOMBINING, 16, 13), (gl.TreeTopology.FULL_BINARY, 5, 5)])
+    def test_monotone_utility_check(self, name, levels, topology, steps, at):
+        integrand = LOCK_STEP_INTEGRANDS[name](self.driver)
+        terminal = self.claim(topology, steps, at)
+        report = gl.monotone_utility_check(integrand, terminal, levels)
+        reference = full_field_monotone(integrand, terminal, levels)
+        assert bits([report.worst_order_violation, report.worst_saturation_gap]) == bits(reference)
+        saturating = levels[-1] >= integrand.domain_radius
+        assert math.isinf(report.worst_saturation_gap) != saturating
+        assert report.decreasing == (name != "misdirected")
+
+    @pytest.mark.parametrize("name", sorted(LOCK_STEP_INTEGRANDS))
+    @pytest.mark.parametrize("topology,steps,at", [
+        (gl.TreeTopology.RECOMBINING, 16, 12), (gl.TreeTopology.FULL_BINARY, 6, 6)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])  # the claim rising or falling
+    def test_first_order_optimality(self, name, topology, steps, at, sign):
+        claim = self.claim(topology, steps, at)
+        claim = gl.AdaptedField(claim.lattice, [sign * claim[at]], start=at)
+        solution = gl.dual_utility(LOCK_STEP_INTEGRANDS[name](self.driver), claim)
+        assert bits([gl.first_order_optimality(solution)]) == bits([two_pass_optimality(solution)])
+
+    def test_radius_breach_names_its_node(self):
+        terminal = self.claim(gl.TreeTopology.RECOMBINING, 16, 16)
+        narrow = gl.entropic(1.0, radius=0.5)
+        with pytest.raises(gl.ValidityRadiusError) as full_field:
+            gl.utility_solution(narrow, terminal)
+        with pytest.raises(gl.ValidityRadiusError, match=r"node\(step=15, index=") as lock_step:
+            dual.compare_prices(narrow, gl.fenchel(narrow), terminal)
+        assert str(lock_step.value) == str(full_field.value)
+
+    def test_nan_names_its_node(self, rec8):
+        nan_minimiser = PenaltyIntegrand(
+            name="nan", evaluate=lambda t, q: np.zeros_like(np.asarray(q, dtype=float)),
+            domain_radius=math.inf, zero_at_origin=True,
+            step_minimizer=lambda t, zed: np.full_like(zed, np.nan))
+        xi = gl.terminal_field(rec8, np.arange(9.0))
+        with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
+            dual.compare_prices(gl.zero(), nan_minimiser, xi)
+        # the gate prices a NaN control at +inf, so the gated sweep stops at the same node
+        with pytest.raises(ValueError, match=r"node\(step=7, index=0\)"):
+            gl.monotone_utility_check(nan_minimiser, xi, [1.0])
