@@ -67,9 +67,12 @@ BYTES_PER_NODE = {
     # price sweeps its two recursions in lock step and holds O(N); this row stays as a
     # conservative size bound until a budget on nodes swept replaces it
     "price": 3 * 8 + 1,
-    "penalty": 4 * 8,  # control, up-probabilities, f(t, q), window or Doob cost (cocycle: 6 masks)
-    "supermartingale": 3 * 8 + 6,  # control, up-probabilities, f(t, q); 6 stop masks
-    "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f and up-probs; 4 masks
+    # penalty holds the control, and on the Doob path f(t, q) and the accumulated cost
+    # (the cocycle: the control and 6 masks); up-probabilities are computed per step and
+    # the formula's root is streamed, so the row keeps a field to spare until measured
+    "penalty": 4 * 8,
+    "supermartingale": 3 * 8 + 6,  # control, f(t, q), one field to spare; 6 stop masks
+    "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f, a spare; 4 masks
     "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
 }
 BYTES_PER_ROW = 168  # one `conjugate` row: its CSV line and floats, by getrusage at 2e6 rows

@@ -183,21 +183,25 @@ def monotone_utility_check(integrand: PenaltyIntegrand, terminal: AdaptedField,
     Larger gates enlarge the feasible set of the nodewise min, so the fields
     decrease exactly; once a level covers the integrand's domain the gated
     recursion performs identical arithmetic and the gap collapses to zero.
+    The ungated recursion is swept only then: with no level reaching the
+    domain radius the saturation gap is reported as +inf without it.
     """
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
     lattice = terminal.lattice
-    sweeps = [lattice.sweep(terminal.start, terminal.bounded_values().copy(), dual_step(f, lattice))
-              for f in [*(truncate_integrand(integrand, n) for n in levels), integrand]]
     saturating = bool(levels) and levels[-1] >= integrand.domain_radius
+    claim = terminal.bounded_values()
+    integrands = [truncate_integrand(integrand, n) for n in levels] + ([integrand] if saturating else [])
+    sweeps = [lattice.sweep(terminal.start, claim.copy(), dual_step(f, lattice)) for f in integrands]
     worst_order, worst_sat = 0.0, (0.0 if saturating else math.inf)
-    for *gated, (_, full) in zip(*sweeps):
-        gated = [u for _, u in gated]
+    for step in zip(*sweeps):
+        us = [u for _, u in step]
+        gated = us[:len(levels)]
         for lowgate, highgate in zip(gated, gated[1:]):
             worst_order = max(worst_order, float(np.max(highgate - lowgate)))
         if saturating:
-            worst_sat = max(worst_sat, float(np.max(np.abs(gated[-1] - full))))
+            worst_sat = max(worst_sat, float(np.max(np.abs(gated[-1] - us[-1]))))
     return MonotoneUtilityReport(
         levels=levels,
         decreasing=worst_order <= bsde.TOL_IDENTITY,

@@ -7,7 +7,7 @@ increments exactly q*dt and keeps the density a P-martingale node by node.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,16 +34,49 @@ class AdmissibilityError(ValueError):
         )
 
 
+class _UpProbabilities(Sequence):
+    """p_k = formula(q_k) per step, computed from the control each time a step is read.
+
+    Reads as the per-step list of up-probability arrays without holding it:
+    a measure built from a control keeps O(1) memory beyond the control.
+    """
+
+    __slots__ = ("control", "formula")
+
+    def __init__(self, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray]):
+        self.control = control
+        self.formula = formula
+
+    def __len__(self) -> int:
+        return self.control.lattice.steps
+
+    def __getitem__(self, step: int) -> np.ndarray:
+        return self.formula(self.control[step])
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (self[k] for k in range(len(self)))
+
+
 class MeasureChange:
-    """A measure equivalent to the fair coin, stored as per-node up probabilities."""
+    """A measure equivalent to the fair coin, given by per-node up probabilities.
+
+    `up_prob` is one array per step, or (from the density constructors) a
+    formula of the control evaluated each time a step is read.  Either way
+    every step is checked here for its shape and for 0 < p < 1.
+    """
 
     __slots__ = ("lattice", "control", "up_prob")
 
     def __init__(self, control: PredictableControl, up_prob: Sequence[np.ndarray]):
         self.lattice = control.lattice
         self.control = control
-        self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
-        for k, p in enumerate(self.up_prob):
+        formula = isinstance(up_prob, _UpProbabilities)
+        if not formula:
+            up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
+        self.up_prob = up_prob
+        for k, p in enumerate(up_prob):
+            if formula:
+                self.lattice.per_step([p], k)  # the shape check of this one step
             bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
             if bad.size:
                 raise AdmissibilityError(NodeId(k, int(bad[0])), float(control[k][bad[0]]),
@@ -87,8 +120,7 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     silently change the measure.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, [(1.0 + control[k] * sdt) / 2.0
-                                   for k in range(control.lattice.steps)])
+    return MeasureChange(control, _UpProbabilities(control, lambda q: (1.0 + q * sdt) / 2.0))
 
 
 def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
@@ -99,13 +131,9 @@ def exponential_density_from_control(control: PredictableControl) -> MeasureChan
     convergence experiments only; identities exact under the multiplicative
     form hold only in the dt -> 0 limit here.
     """
-    lat = control.lattice
-    sdt = lat.sqrt_dt
-    up_prob = []
-    for k in range(lat.steps):
-        q = control[k]
-        up_prob.append(1.0 / (1.0 + np.exp(-2.0 * q * sdt)))
-    return MeasureChange(control, up_prob)
+    sdt = control.lattice.sqrt_dt
+    return MeasureChange(control, _UpProbabilities(
+        control, lambda q: 1.0 / (1.0 + np.exp(-2.0 * q * sdt))))
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -78,45 +79,62 @@ def _window_sweep(cost: Callable[[int], np.ndarray], measure: MeasureChange,
     lat = measure.lattice
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        charge = np.where(inside[k], cost(k) * lat.dt, 0.0)
+        charge = cost(k) * lat.dt
+        if inside[k] is not True:  # a step wholly inside the window keeps its charge as is
+            charge = np.where(inside[k], charge, 0.0)
         return charge + measure.one_step_expectation(k, down, up)
 
     rows = np.shape(inside[lat.steps - 1])[:-1]  # () for a bool or one mask a step
     return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))), step)
 
 
-@dataclass
 class PenaltyField:
-    """Penalty values c_{k,t}(Q) for k = s..t, nonnegative and zero at the right endpoint."""
+    """Penalty values c_{k,t}(Q) for k = s..t, nonnegative and zero at the right endpoint.
 
-    values: AdaptedField
+    Holds the root c_{s,t}; the values of steps s..t are swept again from
+    `sweep` (a fresh window sweep of steps N .. 0) the first time `values`
+    or `at` reads them, and kept from then on.
+    """
 
-    @property
-    def start(self) -> int:
-        return self.values.start
+    def __init__(self, lattice: Lattice, start: int, stop: int, root: float,
+                 sweep: Callable[[], Iterator[tuple[int, np.ndarray]]]):
+        self.start = start
+        self.stop = stop
+        self._lattice = lattice
+        self._root = root
+        self._sweep = sweep
 
-    @property
-    def stop(self) -> int:
-        return self.values.stop
+    @cached_property
+    def values(self) -> AdaptedField:
+        n = self._lattice.steps
+        window = islice(self._sweep(), n - self.stop, n - self.start + 1)
+        return AdaptedField(self._lattice, [v for _, v in window][::-1], start=self.start)
 
     def at(self, step: int) -> np.ndarray:
         return self.values[step]
 
     def initial(self) -> float:
         """The step-s value at the first node; the unconditional penalty when s = 0."""
-        return float(self.values[self.start][0])
+        return self._root
 
 
 def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
                     start: int, stop: int) -> PenaltyField:
-    """Window penalty with deterministic endpoints, as a field of c_{k,stop} values."""
+    """Window penalty with deterministic endpoints, as a field of c_{k,stop} values.
+
+    The call sweeps the window once, keeping one step at a time, for the root
+    (a NaN raises here); the whole field is built only when it is read.
+    """
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    sweep = _window_sweep(_integrand_at(integrand, measure.control), measure,
-                          [start <= k < stop for k in range(lat.steps)])
-    window = [v for _, v in islice(sweep, lat.steps - stop, lat.steps - start + 1)]
-    return PenaltyField(AdaptedField(lat, window[::-1], start=start))
+    inside = [start <= k < stop for k in range(lat.steps)]
+
+    def sweep() -> Iterator[tuple[int, np.ndarray]]:
+        return _window_sweep(_integrand_at(integrand, measure.control), measure, inside)
+
+    root = float(next(v for k, v in sweep() if k == start)[0])
+    return PenaltyField(lat, start, stop, root, sweep)
 
 
 def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,

@@ -463,3 +463,42 @@ class TestLockStepComparisons:
         # the gate prices a NaN control at +inf, so the gated sweep stops at the same node
         with pytest.raises(ValueError, match=r"node\(step=7, index=0\)"):
             gl.monotone_utility_check(nan_minimiser, xi, [1.0])
+
+
+def counting_ungated_calls(integrand):
+    """`integrand`, recording every call made on it but not on its gated copies."""
+    calls = []
+
+    class Counted(type(integrand)):
+        def __call__(self, t, q):
+            if self.name == integrand.name:  # `truncate_integrand` renames each gate
+                calls.append(t)
+            return super().__call__(t, q)
+
+    fields = {field.name: getattr(integrand, field.name) for field in dataclasses.fields(integrand)}
+    return Counted(**fields), calls
+
+
+class TestMonotoneUtilitySweepsTheFullIntegrandOnlyToSaturate:
+    @pytest.mark.parametrize("levels, saturating", [((0.5, 1.0, 2.0), False),
+                                                    ((0.5,), False),
+                                                    ((1.0, 4.0), True)])
+    def test_full_integrand_evaluations(self, levels, saturating):
+        lat = gl.build_grid(1.0, 32)
+        xi = gl.terminal_field(lat, lambda x: np.maximum(x - 0.2, 0.0))
+        f, calls = counting_ungated_calls(gl.fenchel(gl.entropic(1.0, radius=4.0)))
+        report = gl.monotone_utility_check(f, xi, levels)
+        assert len(calls) == (lat.steps if saturating else 0)  # one call a step at its minimiser
+        calls.clear()
+        worst_order, worst_sat = full_field_monotone(f, xi, levels)
+        assert report.worst_order_violation == worst_order
+        assert report.worst_saturation_gap == worst_sat
+        assert report.saturates is saturating and math.isinf(worst_sat) is not saturating
+
+    def test_no_level_sweeps_nothing(self, rec8):
+        f, calls = counting_ungated_calls(gl.fenchel(gl.entropic(1.0, radius=4.0)))
+        report = gl.monotone_utility_check(f, gl.terminal_field(rec8, np.abs), [])
+        assert not calls
+        assert (report.worst_order_violation, report.worst_saturation_gap) == (0.0, math.inf)
+        with pytest.raises(ValueError, match="not essentially bounded"):
+            gl.monotone_utility_check(f, gl.AdaptedField(rec8, [np.full(9, np.inf)], start=8), [])

@@ -257,3 +257,51 @@ class TestControlSurgery:
         q = gl.PredictableControl.constant(rec8, 0.1)
         with pytest.raises(ValueError):
             gl.restrict_control(q, [np.ones(2, dtype=bool)] * 8)
+
+
+def stored_up_probabilities(control, exponential):
+    """Each step's up-probability array, written out as a stored per-step list."""
+    sdt = control.lattice.sqrt_dt
+    if exponential:
+        return [1.0 / (1.0 + np.exp(-2.0 * q * sdt)) for q in control.values]
+    return [(1.0 + q * sdt) / 2.0 for q in control.values]
+
+
+class TestUpProbabilitiesPerStep:
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    @pytest.mark.parametrize("exponential", [False, True])
+    def test_up_prob_is_the_stored_list_bitwise(self, topology, exponential):
+        lat = gl.build_grid(1.3, 6, topology)
+        q = random_control(lat, np.random.default_rng(9), 1.2)
+        build = gl.exponential_density_from_control if exponential else gl.density_from_control
+        Q = build(q)
+        stored = stored_up_probabilities(q, exponential)
+        assert len(Q.up_prob) == lat.steps
+        for got, expected in zip(Q.up_prob, stored, strict=True):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for k in (0, 3, lat.steps - 1, -1):
+            assert np.array_equal(Q.up_prob[k], stored[k])
+        # the measure built from the stored list sweeps to the same bits
+        explicit = gl.MeasureChange(q, stored)
+        xi = gl.terminal_field(lat, np.abs)
+        assert np.array_equal(gl.expectation_under(Q, xi, 0)[0],
+                              gl.expectation_under(explicit, xi, 0)[0])
+
+    @pytest.mark.parametrize("bad", [-3.0, 2.5, math.nan])
+    def test_last_step_is_checked_at_construction(self, bad):
+        # sqrt(dt) = 0.5: |q| >= 2 leaves (0, 1), and the node is named
+        lat = gl.build_grid(1.0, 4)
+        values = [np.zeros(k + 1) for k in range(4)]
+        values[3][2] = bad
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.density_from_control(gl.PredictableControl(lat, values))
+        assert err.value.node == gl.NodeId(3, 2)
+        assert err.value.value == bad or math.isnan(bad) and math.isnan(err.value.value)
+
+    def test_exponential_refuses_nan_with_its_node(self):
+        lat = gl.build_grid(1.0, 4)
+        values = [np.zeros(k + 1) for k in range(4)]
+        values[1][1] = math.nan
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.exponential_density_from_control(gl.PredictableControl(lat, values))
+        assert err.value.node == gl.NodeId(1, 1)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -546,3 +547,44 @@ class TestStreamedChecksMatchReferences:
             gl.window_penalty_process(f, Q, four, two)
         with pytest.raises(ValueError):
             gl.cocycle_residual(f, Q, two, eight, four)
+
+
+class TestStreamedPenaltyRoot:
+    def test_density_and_root_hold_no_field(self):
+        lat = gl.build_grid(1.0, 2048)
+        f = gl.fenchel(gl.entropic(1.0, radius=8.0))
+        claim = gl.terminal_field(lat, lambda x: np.maximum(x - 0.2, 0.0))
+        control = gl.dual_utility(f, claim).argmin_control
+        tracemalloc.start()
+        try:
+            root = gl.penalty_formula(f, gl.density_from_control(control), 0, lat.steps).initial()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(root) and root > 0.0
+        assert peak < 2 * 2**20  # stored up-probabilities and window field would take 32.6 MiB
+
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    @pytest.mark.parametrize("window", [(0, 8), (2, 6), (3, 3), (0, 0), (8, 8)])
+    def test_root_is_the_field_at_start_in_either_order(self, topology, window):
+        lat = gl.build_grid(1.0, 8, topology)
+        _, f = entropic_pair()
+        Q = gl.density_from_control(random_control(lat, np.random.default_rng(12), 1.5))
+        start, stop = window
+        root_first = gl.penalty_formula(f, Q, start, stop)
+        root = root_first.initial().hex()
+        assert float(root_first.values[start][0]).hex() == root
+        field_first = gl.penalty_formula(f, Q, start, stop)
+        assert float(field_first.at(start)[0]).hex() == field_first.initial().hex() == root
+        assert field_first.values is field_first.values  # built once, then kept
+        for k in range(start, stop + 1):
+            assert np.array_equal(root_first.at(k), field_first.at(k))
+
+    def test_nan_integrand_raises_from_the_call(self, rec8):
+        _, f = entropic_pair()
+        nan_at_five = dataclasses.replace(
+            f, evaluate=lambda t, q: np.where(t == rec8.grid.time(5), np.nan, f(t, q)))
+        Q = gl.density_from_control(gl.PredictableControl.constant(rec8, 0.3))
+        with pytest.raises(ValueError, match=r"produced NaN at node\(step=5, index=0\)"):
+            gl.penalty_formula(nan_at_five, Q, 0, 8)
+        assert gl.penalty_formula(nan_at_five, Q, 6, 8).initial() > 0.0  # outside the window
