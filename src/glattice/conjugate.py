@@ -20,6 +20,7 @@ from .drivers import Driver, _magnitude, probe_zero
 Array = np.ndarray
 
 GRID_POINTS_1D = 4097
+TILE_SCORES = 2**18  # slope-by-point scores per tile of the grid sup: 2 MiB of float64
 REFINE_POINTS_1D = 129
 GRID_POINTS_PER_AXIS = {1: GRID_POINTS_1D, 2: 129, 3: 33}
 REFINE_POINTS_PER_AXIS = {1: REFINE_POINTS_1D, 2: 17, 3: 9}
@@ -79,11 +80,12 @@ def grid_sup_of_linear_minus(fun: Callable[[float, Array], Array], t: float, slo
                              radius: float, dim: int = 1, points: int | None = None) -> Array:
     """sup_x { slope . x - fun(t, x) } over [-radius, radius]^dim, one value per slope.
 
-    Grid search with two refinement sweeps around each coarse arg max,
-    run on blocks of up to 512 slopes at once: `fun` sees each block's local
-    grids as one flat batch of points.  Infinite fun values are allowed and
-    simply never attain the sup; an all-infinite fun raises (empty effective
-    domain).
+    Grid search with two refinement sweeps around each coarse arg max, on
+    cache-sized tiles of max(1, TILE_SCORES // coarse points) slopes: `fun`
+    sees each tile's local grids as one flat batch of points.  Infinite fun
+    values are allowed and simply never attain the sup; an all-infinite fun
+    raises (empty effective domain).  Each call scans its coarse grid;
+    `fenchel` and `inverse_fenchel` keep the latest t's (`_latest_t_grid_sup`).
     """
     per_axis = _points_per_axis(dim, points)
     return _refined_sup(fun, t, slopes, radius, dim, per_axis,
@@ -122,8 +124,9 @@ def _refined_sup(fun: Callable[[float, Array], Array], t: float, slopes, radius:
     spacing = 2.0 * radius / (per_axis - 1) if per_axis > 1 else radius
     refine_axis = REFINE_POINTS_PER_AXIS[dim]
     best = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], 512):
-        block = rows[lo:lo + 512]
+    tile = max(1, TILE_SCORES // fvals.shape[0])
+    for lo in range(0, rows.shape[0], tile):
+        block = rows[lo:lo + tile]
         which = np.arange(block.shape[0])
         scores = np.multiply.outer(block, pts) if dim == 1 else block @ pts.T
         scores -= fvals
@@ -147,8 +150,24 @@ def _refined_sup(fun: Callable[[float, Array], Array], t: float, slopes, radius:
             top = np.where(better, cand, top)
             center = np.where(better if dim == 1 else better[:, None], local[which, j], center)
             width = 2.0 * width / (refine_axis - 1)
-        best[lo:lo + 512] = top
+        best[lo:lo + tile] = top
     return best[0] if single else best
+
+
+def _latest_t_grid_sup(fun: Callable[[float, Array], Array], radius: float,
+                       dim: int) -> Callable[[float, Array], Array]:
+    """`grid_sup_of_linear_minus(fun, t, slopes, radius, dim)` as (t, slopes) -> sup, keeping
+    the coarse grid of the latest t: the dual's search asks at one t many times."""
+    per_axis = _points_per_axis(dim)
+    latest = (None, None)
+
+    def sup(t, slopes):
+        nonlocal latest
+        if latest[0] != t:
+            latest = (t, _coarse_grid(fun, t, radius, dim, per_axis))
+        return _refined_sup(fun, t, slopes, radius, dim, per_axis, latest[1])
+
+    return sup
 
 
 def fenchel(driver: Driver) -> PenaltyIntegrand:
@@ -183,16 +202,7 @@ def fenchel(driver: Driver) -> PenaltyIntegrand:
         else:
             z_max = 8.0 * max(1.0, mu if mu is not None else 1.0)
 
-        per_axis = _points_per_axis(dim)
-        latest = (None, None)  # (t, its coarse grid): the dual's search asks at one t many times
-
-        def inner(t, q, _zmax=z_max):
-            nonlocal latest
-            seen, coarse = latest
-            if seen != t:
-                coarse = _coarse_grid(driver.evaluate, t, _zmax, dim, per_axis)
-                latest = (t, coarse)
-            return _refined_sup(driver.evaluate, t, q, _zmax, dim, per_axis, coarse)
+        inner = _latest_t_grid_sup(driver.evaluate, z_max, dim)
 
     def evaluate(t, q):
         vals = np.asarray(inner(t, q), dtype=float)
@@ -227,10 +237,9 @@ def inverse_fenchel(integrand: PenaltyIntegrand, *, search_radius: float | None 
             raise ValueError("integrand has unbounded domain; pass search_radius")
         radius = search_radius
 
-    def evaluate(t, z, _radius=radius):
-        return grid_sup_of_linear_minus(integrand.evaluate, t, z, _radius, integrand.dim)
-
-    # Force the empty-domain error at build time rather than first use.
+    evaluate = _latest_t_grid_sup(integrand.evaluate, radius, integrand.dim)
+    # Force the empty-domain error at build time rather than first use; a first call at
+    # t = 0 reuses the probe's coarse grid.
     probe = 0.0 if integrand.dim == 1 else np.zeros(integrand.dim)
     evaluate(0.0, probe)
 

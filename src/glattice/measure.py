@@ -41,11 +41,13 @@ class _UpProbabilities(Sequence):
     a measure built from a control keeps O(1) memory beyond the control.
     """
 
-    __slots__ = ("control", "formula")
+    __slots__ = ("control", "formula", "monotone")
 
-    def __init__(self, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray],
+                 monotone: bool = False):
         self.control = control
         self.formula = formula
+        self.monotone = monotone
 
     def __len__(self) -> int:
         return self.control.lattice.steps
@@ -62,7 +64,8 @@ class MeasureChange:
 
     `up_prob` is one array per step, or (from the density constructors) a
     formula of the control evaluated each time a step is read.  Either way
-    every step is checked here for its shape and for 0 < p < 1.
+    every step is checked here for its shape and for 0 < p < 1: under a
+    `monotone` formula by the step's extreme controls, node by node otherwise.
     """
 
     __slots__ = ("lattice", "control", "up_prob")
@@ -74,9 +77,14 @@ class MeasureChange:
         if not formula:
             up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
         self.up_prob = up_prob
-        for k, p in enumerate(up_prob):
+        for k in range(self.lattice.steps):
             if formula:
-                self.lattice.per_step([p], k)  # the shape check of this one step
+                q = self.lattice.per_step([control[k]], k)[0]  # the shape check of this one step
+                if up_prob.monotone:
+                    low, high = up_prob.formula(q.min()), up_prob.formula(q.max())
+                    if low > 0.0 and high < 1.0:
+                        continue  # a failing (or NaN) extreme falls through to name the node
+            p = up_prob[k]
             bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
             if bad.size:
                 raise AdmissibilityError(NodeId(k, int(bad[0])), float(control[k][bad[0]]),
@@ -117,10 +125,12 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly, which is
     0 < p < 1 for p = (1 + q sqrt(dt))/2; `MeasureChange` raises at the first
     node where p leaves (0, 1) instead of clamping, since clamping would
-    silently change the measure.
+    silently change the measure.  Each rounded operation of p is monotone,
+    so p is monotone in q; a step whose extremes pass needs no per-node scan.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, _UpProbabilities(control, lambda q: (1.0 + q * sdt) / 2.0))
+    return MeasureChange(control, _UpProbabilities(control, lambda q: (1.0 + q * sdt) / 2.0,
+                                                   monotone=True))
 
 
 def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
@@ -129,7 +139,8 @@ def exponential_density_from_control(control: PredictableControl) -> MeasureChan
     Admissible for every finite control, but carries an O(dt) drift bias:
     E_Q[dB | F_k] = sqrt(dt) * tanh(q sqrt(dt)) instead of q*dt.  Intended for
     convergence experiments only; identities exact under the multiplicative
-    form hold only in the dt -> 0 limit here.
+    form hold only in the dt -> 0 limit here.  numpy's exp is not guaranteed
+    monotone, so every node of every step is checked.
     """
     sdt = control.lattice.sqrt_dt
     return MeasureChange(control, _UpProbabilities(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glattice as gl
+from glattice import conjugate
 from glattice.conjugate import PenaltyIntegrand
 from glattice.drivers import Driver
 
@@ -315,3 +317,73 @@ class TestYoungFenchel:
             tight = qstar * zs + np.asarray(f(0.0, qstar), dtype=float)
             target = -np.asarray(driver(0.0, -zs), dtype=float)
             assert np.max(np.abs(tight - target)) <= 1e-10
+
+
+class TestGridSupTiles:
+    """The grid sup scores slopes in tiles of max(1, TILE_SCORES // coarse points) rows."""
+
+    @pytest.mark.parametrize("tile_scores", [1, 4097, 3 * 4097 + 1, None])
+    def test_one_dimensional_bits_do_not_depend_on_the_tile(self, monkeypatch, tile_scores):
+        rng = np.random.default_rng(700)
+        slopes = rng.uniform(-2.5, 2.5, 700)
+        funs = [gl.entropic(0.8, radius=3.0).evaluate, gl.fenchel(gl.abs_scaled(0.7)).evaluate,
+                gl.fenchel(gl.interval(-0.2, 0.7)).evaluate]
+        want = [gl.grid_sup_of_linear_minus(fun, 0.3, slopes, 2.0) for fun in funs]
+        if tile_scores is not None:
+            monkeypatch.setattr(conjugate, "TILE_SCORES", tile_scores)
+        for fun, expected in zip(funs, want):
+            calls = []
+
+            def counted(t, x, _fun=fun):
+                calls.append(np.size(x))
+                return _fun(t, x)
+
+            got = gl.grid_sup_of_linear_minus(counted, 0.3, slopes, 2.0)
+            assert got.tobytes() == expected.tobytes()
+            finite = int(np.sum(np.isfinite(fun(0.3, np.linspace(-2.0, 2.0, 4097)))))
+            tile = max(1, conjugate.TILE_SCORES // finite)
+            assert len(calls) == 1 + 2 * -(-700 // tile)  # the coarse scan, two passes a tile
+            assert max(calls[1:]) == min(tile, 700) * conjugate.REFINE_POINTS_1D
+
+    def test_biconjugate_gap_of_a_numeric_conjugate_stays_small(self):
+        driver = without_analytics(gl.entropic(1.0, radius=4.0))
+        zs = np.linspace(-4.0, 4.0, 41)
+        tracemalloc.start()
+        try:
+            gap = gl.biconjugate_gap(driver, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap <= 1e-6
+        assert peak < 4 * 2**20  # 512-slope blocks of 4097 scores peaked at 17.8 MiB
+
+
+class TestInverseFenchelCoarseGrid:
+    def test_one_coarse_scan_per_time(self):
+        coarse = np.linspace(-1.5, 1.5, conjugate.GRID_POINTS_1D)
+        scans = []
+
+        def evaluate(t, q):
+            q = np.asarray(q, dtype=float)
+            if q.shape == coarse.shape and np.array_equal(q, coarse):
+                scans.append(t)
+            return np.where(np.abs(q) <= 1.5, (1.0 + t) * q**2 / 2.0, np.inf)
+
+        f = PenaltyIntegrand(name="quadratic", evaluate=evaluate, domain_radius=1.5,
+                             zero_at_origin=True)
+        g = gl.inverse_fenchel(f)
+        assert scans == [0.0]  # the build-time probe
+        zs = np.linspace(-3.0, 3.0, 41)
+        first = np.asarray(g(0.0, zs))
+        assert scans == [0.0]  # the first call at the probe's t reuses its scan
+        again = np.asarray(g(0.0, zs))
+        assert scans == [0.0]
+        later = np.asarray(g(0.5, zs))
+        assert scans == [0.0, 0.5]
+        g(0.5, zs[:3])
+        assert scans == [0.0, 0.5]
+        back = np.asarray(g(0.0, zs))
+        assert scans == [0.0, 0.5, 0.0]  # only the latest t is kept
+        direct = [gl.grid_sup_of_linear_minus(evaluate, t, zs, 1.5) for t in (0.0, 0.5)]
+        assert first.tobytes() == again.tobytes() == back.tobytes() == direct[0].tobytes()
+        assert later.tobytes() == direct[1].tobytes()

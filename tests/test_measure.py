@@ -305,3 +305,42 @@ class TestUpProbabilitiesPerStep:
         with pytest.raises(gl.AdmissibilityError) as err:
             gl.exponential_density_from_control(gl.PredictableControl(lat, values))
         assert err.value.node == gl.NodeId(1, 1)
+
+
+def scanned_admissibility(control):
+    """The per-node scan: the first node of the first step where p leaves (0, 1), or None."""
+    sdt = control.lattice.sqrt_dt
+    for k, q in enumerate(control.values):
+        p = (1.0 + q * sdt) / 2.0
+        bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))
+        if bad.size:
+            return gl.NodeId(k, int(bad[0]))
+    return None
+
+
+class TestAdmissibilityFromExtremes:
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    def test_extremes_decide_as_the_per_node_scan(self, topology):
+        rng = np.random.default_rng(17)
+        refused = 0
+        for trial in range(300):
+            lat = gl.build_grid(float(rng.uniform(0.1, 3.0)), int(rng.integers(1, 10)), topology)
+            edge = 1.0 / lat.sqrt_dt
+            special = [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0),
+                       np.nextafter(edge, np.inf), np.nextafter(-edge, -np.inf), np.nan]
+            values = [rng.uniform(-edge, edge, lat.node_count(k)) for k in range(lat.steps)]
+            for _ in range(int(rng.integers(0, 3))):
+                k = int(rng.integers(lat.steps))
+                values[k][rng.integers(values[k].size)] = special[rng.integers(len(special))]
+            control = gl.PredictableControl(lat, values)
+            want = scanned_admissibility(control)
+            if want is None:
+                gl.density_from_control(control)
+                continue
+            refused += 1
+            with pytest.raises(gl.AdmissibilityError) as err:
+                gl.density_from_control(control)
+            assert err.value.node == want, trial
+            got, expected = err.value.value, control[want.step][want.index]
+            assert got == expected or math.isnan(got) and math.isnan(expected)
+        assert 50 < refused < 250  # both outcomes are exercised
