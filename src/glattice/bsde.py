@@ -9,6 +9,7 @@ enters only through dt when comparing against continuous-time closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -66,15 +67,18 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
     node within its row when claims are stacked on a leading axis).
     """
     scale = sign * lattice.dt
+    radius = driver.validity_radius if check_radius else math.inf
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         z = lattice.increment(down, up)
         arg = z if sign > 0 else -z
-        if check_radius and np.any(np.abs(z) > driver.validity_radius):
+        # fmax and fmin skip NaN, as the test |z| > radius does
+        if radius < math.inf and (np.fmax.reduce(z, axis=None) > radius
+                                  or np.fmin.reduce(z, axis=None) < -radius):
             flat = int(np.argmax(np.abs(z)))
             raise ValidityRadiusError(NodeId(k, flat % z.shape[-1]), float(arg.flat[flat]),
-                                      driver.validity_radius)
-        return (up + down) / 2.0 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
+                                      radius)
+        return (up + down) * 0.5 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
 
     return step
 

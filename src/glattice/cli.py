@@ -32,7 +32,6 @@ from .lattice import (
     AdaptedField,
     Lattice,
     PredictableControl,
-    StoppingTime,
     TreeTopology,
     build_grid,
     node_total,
@@ -62,15 +61,14 @@ CONVERGE_NODE_BUDGET = 10**9
 TRIAL_NODE_BUDGET = 5 * 10**7
 TRIAL_NODE_FLOOR = 4096
 
+# grid nodes one `price` or `penalty` run may sweep: about 4 s for price and 6 s for penalty
+# with a Markov control, at ~40 and ~60 ns per node (2-vCPU host)
+SWEEP_NODE_BUDGET = 10**8
+# bytes per node of the last step that `price` and `penalty` hold at once, as both stream
+# their sweeps: tracemalloc at 8192 steps gives 110 B for price, 435 B for penalty
+STREAM_BYTES_PER_NODE = 512
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
-    # price sweeps its two recursions in lock step and holds O(N); this row stays as a
-    # conservative size bound until a budget on nodes swept replaces it
-    "price": 3 * 8 + 1,
-    # penalty holds the control, and on the Doob path f(t, q) and the accumulated cost
-    # (the cocycle: the control and 6 masks); up-probabilities are computed per step and
-    # the formula's root is streamed, so the row keeps a field to spare until measured
-    "penalty": 4 * 8,
     "supermartingale": 3 * 8 + 6,  # control, f(t, q), one field to spare; 6 stop masks
     "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f, a spare; 4 masks
     "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
@@ -362,15 +360,20 @@ def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
                               f"{TRIAL_NODE_BUDGET}")
     held = max(nodes * BYTES_PER_NODE.get(name, 0)
                for name in (config.suites if command == "props" else [command]))
+    if command in ("price", "penalty"):
+        last = 2**config.steps if config.topology is TreeTopology.FULL_BINARY else config.steps + 1
+        held = last * STREAM_BYTES_PER_NODE
     if command == "conjugate":
         held = config.tabulate["points"] * len(config.tabulate["times"]) * BYTES_PER_ROW
     try:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no budget
-        return
+    except (AttributeError, ValueError, OSError):  # no sysconf on this platform: no memory bound
+        physical = math.inf
     if held > physical:
         raise ConfigError(f"{command} would hold about {held / 2**30:.1f} GiB at this size, "
                           f"more than the {physical / 2**30:.1f} GiB of physical memory")
+    if command in ("price", "penalty") and nodes > SWEEP_NODE_BUDGET:
+        raise ConfigError(f"{command} would sweep {nodes} nodes, more than {SWEEP_NODE_BUDGET}")
 
 
 def cmd_price(config: ExperimentConfig) -> RunReport:
@@ -419,12 +422,10 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
                        oracle.value <= formula)
         report.add("oracle_converged", fixture, oracle.converged, True, "", oracle.converged)
 
-    mid = lattice.steps // 2
-    residual = penalty.cocycle_residual(
-        integrand, measure,
-        StoppingTime.deterministic(lattice, 0),
-        StoppingTime.deterministic(lattice, mid),
-        StoppingTime.deterministic(lattice, lattice.steps))
+    # the cocycle across the deterministic times 0 <= N/2 <= N: one bool a step for each window
+    start, mid, stop = 0, lattice.steps // 2, lattice.steps
+    residual = penalty._cocycle_worst(integrand, measure, [
+        [[start <= k < stop], [start <= k < mid], [mid <= k < stop]] for k in range(lattice.steps)])
     report.add("cocycle_residual", fixture, residual, 0.0, identity_tol,
                residual <= identity_tol)
 

@@ -170,6 +170,18 @@ def _latest_t_grid_sup(fun: Callable[[float, Array], Array], radius: float,
     return sup
 
 
+def _gated(vals: Array, q, level: float, dim: int):
+    """`vals` where |q| <= level and +inf elsewhere (a NaN q included), a float for a scalar q.
+
+    In 1-d a q whose extremes lie in [-level, level] keeps `vals` as it is.
+    """
+    qa = np.asarray(q, dtype=float)
+    if not (dim == 1 and qa.size and vals.shape == qa.shape
+            and qa.max() <= level and qa.min() >= -level):  # NaN fails: mask it
+        vals = np.where(_magnitude(qa, dim) <= level, vals, np.inf)
+    return vals if vals.shape else float(vals)
+
+
 def fenchel(driver: Driver) -> PenaltyIntegrand:
     """Convex conjugate of a driver as a penalty integrand.
 
@@ -208,8 +220,7 @@ def fenchel(driver: Driver) -> PenaltyIntegrand:
         vals = np.asarray(inner(t, q), dtype=float)
         if math.isinf(gate_radius):
             return vals if vals.shape else float(vals)
-        gated = np.where(_magnitude(q, dim) <= gate_radius, vals, np.inf)
-        return gated if gated.shape else float(gated)
+        return _gated(vals, q, gate_radius, dim)
 
     origin = 0.0 if dim == 1 else np.zeros(dim)
     at_zero = float(np.asarray(evaluate(0.0, origin)))
@@ -264,9 +275,7 @@ def truncate_integrand(integrand: PenaltyIntegrand, level: float) -> PenaltyInte
     base_eval = integrand.evaluate
 
     def evaluate(t, q):
-        vals = np.asarray(base_eval(t, q), dtype=float)
-        gated = np.where(_magnitude(q, dim) <= level, vals, np.inf)
-        return gated if gated.shape else float(gated)
+        return _gated(np.asarray(base_eval(t, q), dtype=float), q, level, dim)
 
     minimizer = None
     if integrand.step_minimizer is not None:

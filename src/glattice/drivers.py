@@ -102,16 +102,20 @@ def entropic(gamma: float, radius: float = 8.0, dim: int = 1) -> Driver:
 
     def minimizer(t, zed):
         q = -gamma * np.asarray(zed, dtype=float)
-        return np.clip(q, -gamma * radius, gamma * radius)
+        return np.minimum(np.maximum(q, -gamma * radius), gamma * radius)
+
+    # in 1-d the square of z is |z|**2 exactly, one pass fewer
+    def square(x):
+        return np.square(np.asarray(x, dtype=float)) if dim == 1 else _magnitude(x, dim) ** 2
 
     return Driver(
         name=f"entropic:{gamma:g}",
-        evaluate=lambda t, z: gamma * _magnitude(z, dim) ** 2 / 2.0,
+        evaluate=lambda t, z: gamma * square(z) / 2.0,
         lipschitz=gamma * radius,
         convex=True,
         validity_radius=radius,
         dim=dim,
-        conjugate=lambda t, q: _magnitude(q, dim) ** 2 / (2.0 * gamma),
+        conjugate=lambda t, q: square(q) / (2.0 * gamma),
         step_minimizer=minimizer,
         subgradient=lambda t, z: gamma * np.asarray(z, dtype=float),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .conjugate import PenaltyIntegrand, fenchel, truncate_integrand
 from .drivers import Driver
-from .lattice import AdaptedField, Lattice, NodeId, PredictableControl
+from .lattice import AdaptedField, Lattice, NodeId, PredictableControl, _LazySteps
 from . import bsde
 
 ADMISSIBILITY_MARGIN = 1e-6
@@ -70,39 +70,52 @@ def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) ->
     return (a + b) / 2.0
 
 
-def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
-    """The sweep step u_k = mean + (q z_k + f(t_k, q)) dt, q the one-step minimiser.
+def _step_minimizer(integrand: PenaltyIntegrand, lattice: Lattice):
+    """(k, z) -> (q, clamped), q minimising q z + f(t_k, q) over admissible q.
 
-    q is the integrand's analytic minimiser when it has one, else a golden-section
-    search on the admissible interval; each step reports `record(k, q, clamped)`.
+    q is the integrand's analytic minimiser clipped to the admissibility bound
+    when it has one, else a golden-section search on the admissible interval.
     """
-    dt = lattice.dt
     bound = (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt
     dom = integrand.domain_radius
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
 
-    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        zed = lattice.increment(down, up)
-        mean = (up + down) / 2.0
+    def minimize(k: int, zed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = lattice.grid.time(k)
         if integrand.step_minimizer is not None:
             free = np.asarray(integrand.step_minimizer(t, zed), dtype=float)
+            if free.min() >= -bound and free.max() <= bound:  # NaN fails: clip and flag it
+                return free, np.zeros(free.shape, dtype=bool)
             q = np.clip(free, -bound, bound)
-            clamp = q != free
-        else:
-            lo = np.full_like(zed, max(-dom, -bound))
-            hi = np.full_like(zed, min(dom, bound))
-            zed_twice = np.concatenate((zed, zed))
+            return q, q != free
+        lo = np.full_like(zed, max(-dom, -bound))
+        hi = np.full_like(zed, min(dom, bound))
+        zed_twice = np.concatenate((zed, zed))
 
-            def objective(qq):
-                return qq * zed_twice + np.asarray(integrand(t, qq), dtype=float)
+        def objective(qq):
+            return qq * zed_twice + np.asarray(integrand(t, qq), dtype=float)
 
-            q = _vector_golden_min(objective, lo, hi, GOLDEN_TOL)
-            clamp = np.abs(q) >= bound - 2.0 * GOLDEN_TOL
+        q = _vector_golden_min(objective, lo, hi, GOLDEN_TOL)
+        return q, np.abs(q) >= bound - 2.0 * GOLDEN_TOL
 
-        fv = np.asarray(integrand(t, q), dtype=float)
-        if not np.all(np.isfinite(fv)):
+    return minimize
+
+
+def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
+    """The sweep step u_k = mean + (q z_k + f(t_k, q)) dt, q the one-step minimiser.
+
+    Each step reports `record(k, q, clamped)`.
+    """
+    dt = lattice.dt
+    minimize = _step_minimizer(integrand, lattice)
+
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        zed = lattice.increment(down, up)
+        mean = (up + down) * 0.5
+        q, clamp = minimize(k, zed)
+        fv = np.asarray(integrand(lattice.grid.time(k), q), dtype=float)
+        if not (fv.max() < math.inf and fv.min() > -math.inf):  # NaN fails too
             bad = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise ValueError(f"integrand infinite at its own minimiser, {NodeId(k, bad)}; "
                              "the analytic minimiser must respect the effective domain")
@@ -114,17 +127,28 @@ def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
 
 
 def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
-    """Backward min-over-controls recursion for the penalised worst-case value."""
+    """Backward min-over-controls recursion for the penalised worst-case value.
+
+    The minimising control is not stored: a step read is minimised again from
+    the children of u_{k+1}, the sweep's own arithmetic on its own inputs, so
+    it is bitwise the q the sweep used.  Beyond the claim it is the zero drift.
+    """
     lattice = terminal.lattice
-    sink: list[tuple[np.ndarray, np.ndarray]] = []  # (control, clamp flags), step start-1 first
-    step = dual_step(integrand, lattice, lambda k, *pair: sink.append(pair))
+    flags: list[np.ndarray] = []  # clamp flags, step start-1 first
+    step = dual_step(integrand, lattice, lambda k, q, clamp: flags.append(clamp))
     us = [u for _, u in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
-    # Suffix steps of the control (beyond the claim window) stay at the neutral zero drift.
-    suffix = [np.zeros(lattice.node_count(k)) for k in range(terminal.start, lattice.steps)]
+    u = AdaptedField(lattice, us[::-1], start=0)
+    minimize = _step_minimizer(integrand, lattice)
+
+    def control(k: int) -> np.ndarray:
+        if k >= terminal.start:
+            return np.zeros(lattice.node_count(k))
+        return minimize(k, lattice.increment(*lattice.child_values(u[k + 1])))[0]
+
     return DualSolution(
-        u=AdaptedField(lattice, us[::-1], start=0),
-        argmin_control=PredictableControl(lattice, [q for q, _ in sink[::-1]] + suffix),
-        clamped=[c for _, c in sink[::-1]] + [np.zeros(v.shape, dtype=bool) for v in suffix],
+        u=u, argmin_control=PredictableControl(lattice, _LazySteps(lattice.steps, control)),
+        clamped=flags[::-1] + [np.zeros(lattice.node_count(k), dtype=bool)
+                               for k in range(terminal.start, lattice.steps)],
         integrand=integrand,
     )
 

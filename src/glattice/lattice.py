@@ -221,6 +221,35 @@ class Lattice:
         return np.arange(2**self.steps) >> (self.steps - step)
 
 
+class _LazySteps(Sequence):
+    """A per-step list of `steps` arrays that computes step k as `compute(k)` when it is read.
+
+    Only the latest step read is kept, so a sweep that reads a step twice
+    computes it once; the cache is swapped as one tuple, so threads sharing
+    it at worst compute a step again.  `compute` must be deterministic.
+    """
+
+    __slots__ = ("_steps", "_compute", "_latest")
+
+    def __init__(self, steps: int, compute: Callable[[int], np.ndarray]):
+        self._steps = steps
+        self._compute = compute
+        self._latest = (None, None)
+
+    def __len__(self) -> int:
+        return self._steps
+
+    def __getitem__(self, step):
+        cached, values = self._latest
+        if step != cached:
+            k = range(self._steps)[step]  # a negative step counts from the end, a slice is a range
+            if isinstance(k, range):
+                return [self[j] for j in k]
+            values = self._compute(k)
+            self._latest = (k, values)
+        return values
+
+
 def _trial_blocks(trials: int, nodes_per_trial: int) -> Iterator[range]:
     """Consecutive ranges of trial indices, each at most BATCH_NODES nodes, one trial at least."""
     size = max(1, BATCH_NODES // max(1, nodes_per_trial))
@@ -321,13 +350,18 @@ def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] 
 
 
 class PredictableControl:
-    """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition."""
+    """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition.
+
+    `values` is the per-step list given, or a `_LazySteps` of checked steps
+    (`constant`, `from_state_function`, the dual's minimising control).
+    """
 
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray]):
         self.lattice = lattice
-        self.values = lattice.per_step(values, 0, lattice.steps - 1)
+        self.values = (values if isinstance(values, _LazySteps)
+                       else lattice.per_step(values, 0, lattice.steps - 1))
 
     def __getitem__(self, step: int) -> np.ndarray:
         return self.values[step]
@@ -344,18 +378,25 @@ class PredictableControl:
 
     @classmethod
     def constant(cls, lattice: Lattice, value: float) -> "PredictableControl":
-        return cls(lattice, [np.full(lattice.node_count(k), float(value))
-                             for k in range(lattice.steps)])
+        value = float(value)
+        return cls(lattice, _LazySteps(lattice.steps,
+                                       lambda k: np.full(lattice.node_count(k), value)))
 
     @classmethod
     def from_state_function(cls, lattice: Lattice, fn: Callable[[float, np.ndarray], np.ndarray]) -> "PredictableControl":
-        """Markov feedback control q_k = fn(t_k, level_k), evaluated nodewise."""
-        vals = []
+        """Markov feedback control q_k = fn(t_k, level_k), evaluated nodewise.
+
+        Each step is evaluated here once, to check that it broadcasts to the
+        step's nodes, and again each time it is read: `fn` must be deterministic.
+        """
+        def compute(k: int) -> np.ndarray:
+            q = np.asarray(fn(lattice.grid.time(k), lattice.level_values(k)), dtype=float)
+            nodes = lattice.node_count(k)
+            return q.copy() if q.shape == (nodes,) else np.array(np.broadcast_to(q, (nodes,)))
+
         for k in range(lattice.steps):
-            v = np.broadcast_to(np.asarray(fn(lattice.grid.time(k), lattice.level_values(k)),
-                                           dtype=float), (lattice.node_count(k),))
-            vals.append(np.array(v))
-        return cls(lattice, vals)
+            compute(k)
+        return cls(lattice, _LazySteps(lattice.steps, compute))
 
 
 class StoppingTime:

@@ -7,7 +7,7 @@ increments exactly q*dt and keeps the density a P-martingale node by node.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .lattice import (
     PredictableControl,
     StoppingTime,
     TreeTopology,
+    _LazySteps,
 )
 
 
@@ -34,38 +35,14 @@ class AdmissibilityError(ValueError):
         )
 
 
-class _UpProbabilities(Sequence):
-    """p_k = formula(q_k) per step, computed from the control each time a step is read.
-
-    Reads as the per-step list of up-probability arrays without holding it:
-    a measure built from a control keeps O(1) memory beyond the control.
-    """
-
-    __slots__ = ("control", "formula", "monotone")
-
-    def __init__(self, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray],
-                 monotone: bool = False):
-        self.control = control
-        self.formula = formula
-        self.monotone = monotone
-
-    def __len__(self) -> int:
-        return self.control.lattice.steps
-
-    def __getitem__(self, step: int) -> np.ndarray:
-        return self.formula(self.control[step])
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return (self[k] for k in range(len(self)))
-
-
 class MeasureChange:
     """A measure equivalent to the fair coin, given by per-node up probabilities.
 
-    `up_prob` is one array per step, or (from the density constructors) a
-    formula of the control evaluated each time a step is read.  Either way
-    every step is checked here for its shape and for 0 < p < 1: under a
-    `monotone` formula by the step's extreme controls, node by node otherwise.
+    `up_prob` is one array per step, checked here for its shape and for
+    0 < p < 1 node by node.  The density constructors instead give a formula
+    of the control: each step is checked once here, by the step's extreme
+    controls under a monotone formula and node by node otherwise, and `up_prob`
+    then computes p_k each time the step is read.
     """
 
     __slots__ = ("lattice", "control", "up_prob")
@@ -73,22 +50,31 @@ class MeasureChange:
     def __init__(self, control: PredictableControl, up_prob: Sequence[np.ndarray]):
         self.lattice = control.lattice
         self.control = control
-        formula = isinstance(up_prob, _UpProbabilities)
-        if not formula:
-            up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
-        self.up_prob = up_prob
-        for k in range(self.lattice.steps):
-            if formula:
-                q = self.lattice.per_step([control[k]], k)[0]  # the shape check of this one step
-                if up_prob.monotone:
-                    low, high = up_prob.formula(q.min()), up_prob.formula(q.max())
-                    if low > 0.0 and high < 1.0:
-                        continue  # a failing (or NaN) extreme falls through to name the node
-            p = up_prob[k]
-            bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
-            if bad.size:
-                raise AdmissibilityError(NodeId(k, int(bad[0])), float(control[k][bad[0]]),
-                                         1.0 / self.lattice.sqrt_dt)
+        self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
+        for k, p in enumerate(self.up_prob):
+            self._refuse_outside(k, p)
+
+    @classmethod
+    def _from_formula(cls, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray],
+                      monotone: bool) -> "MeasureChange":
+        """The measure with p_k = formula(q_k), computed from the control when a step is read."""
+        measure = cls.__new__(cls)
+        measure.lattice = control.lattice
+        measure.control = control
+        measure.up_prob = _LazySteps(control.lattice.steps, lambda k: formula(control[k]))
+        for k in range(control.lattice.steps):
+            q = control[k]
+            if monotone and formula(q.min()) > 0.0 and formula(q.max()) < 1.0:
+                continue  # a failing (or NaN) extreme falls through to name the node
+            measure._refuse_outside(k, measure.up_prob[k])
+        return measure
+
+    def _refuse_outside(self, step: int, p: np.ndarray) -> None:
+        """Raise at the first step-k node whose up-probability leaves (0, 1), NaN included."""
+        bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
+        if bad.size:
+            raise AdmissibilityError(NodeId(step, int(bad[0])), float(self.control[step][bad[0]]),
+                                     1.0 / self.lattice.sqrt_dt)
 
     def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Conditional expectation given the step-k node, from its (down, up) child values."""
@@ -129,8 +115,7 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     so p is monotone in q; a step whose extremes pass needs no per-node scan.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, _UpProbabilities(control, lambda q: (1.0 + q * sdt) / 2.0,
-                                                   monotone=True))
+    return MeasureChange._from_formula(control, lambda q: (1.0 + q * sdt) * 0.5, monotone=True)
 
 
 def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
@@ -143,8 +128,8 @@ def exponential_density_from_control(control: PredictableControl) -> MeasureChan
     monotone, so every node of every step is checked.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, _UpProbabilities(
-        control, lambda q: 1.0 / (1.0 + np.exp(-2.0 * q * sdt))))
+    return MeasureChange._from_formula(control, lambda q: 1.0 / (1.0 + np.exp(-2.0 * q * sdt)),
+                                       monotone=False)
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

@@ -32,6 +32,7 @@ from .lattice import (
     PredictableControl,
     StoppingTime,
     TreeTopology,
+    _LazySteps,
     _trial_blocks,
     hitting_time,
     node_total,
@@ -49,15 +50,14 @@ from .measure import (
 
 def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableControl) -> list[np.ndarray]:
     """f(t_k, q_k) per node, with +inf wherever the control leaves the domain."""
-    cost = _integrand_at(integrand, control)
-    return [cost(k) for k in range(control.lattice.steps)]
+    return list(_integrand_at(integrand, control))
 
 
-def _integrand_at(integrand: PenaltyIntegrand,
-                  control: PredictableControl) -> Callable[[int], np.ndarray]:
-    """k -> f(t_k, q_k): one step of `integrand_on_control`, evaluated when asked for."""
+def _integrand_at(integrand: PenaltyIntegrand, control: PredictableControl) -> _LazySteps:
+    """`integrand_on_control`, each step evaluated when it is read."""
     time = control.lattice.grid.time
-    return lambda k: np.asarray(integrand(time(k), control[k]), dtype=float)
+    return _LazySteps(control.lattice.steps,
+                      lambda k: np.asarray(integrand(time(k), control[k]), dtype=float))
 
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
@@ -68,9 +68,9 @@ def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
     return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
-def _window_sweep(cost: Callable[[int], np.ndarray], measure: MeasureChange,
+def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
                   inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
-    """Lazily (k, R_k) for k = N .. 0, given k -> f(t_k, q_k) and the window's indicators.
+    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) per step and the window's indicators.
 
     `inside[k]` flags the step-k nodes whose transition lies in the window: a
     `between_masks` mask, or one bool per step for a deterministic window.
@@ -79,7 +79,7 @@ def _window_sweep(cost: Callable[[int], np.ndarray], measure: MeasureChange,
     lat = measure.lattice
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        charge = cost(k) * lat.dt
+        charge = cost[k] * lat.dt
         if inside[k] is not True:  # a step wholly inside the window keeps its charge as is
             charge = np.where(inside[k], charge, 0.0)
         return charge + measure.one_step_expectation(k, down, up)
@@ -146,8 +146,14 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
     case of evaluation at sigma.  Returns +inf if the infinite-penalty node
     sets of the three processes are inconsistent.
     """
-    windows = [np.stack((h | t, h, t))
-               for h, t in zip(between_masks(sigma, tau), between_masks(tau, upsilon))]
+    return _cocycle_worst(integrand, measure, [
+        np.stack((h | t, h, t))
+        for h, t in zip(between_masks(sigma, tau), between_masks(tau, upsilon))])
+
+
+def _cocycle_worst(integrand: PenaltyIntegrand, measure: MeasureChange, windows: Sequence) -> float:
+    """`cocycle_residual` from each step's indicators of the whole window and its two halves:
+    three masks, or for deterministic times [[s <= k < e], [s <= k < m], [m <= k < e]]."""
     worst = 0.0
     for _, (w, h, t) in _window_sweep(_integrand_at(integrand, measure.control), measure,
                                       windows):
@@ -233,7 +239,7 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):
         raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
-    penalty = _window_sweep(fq.__getitem__, measure, [True] * lat.steps)
+    penalty = _window_sweep(fq, measure, [True] * lat.steps)
     expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
     residual = max(float(np.max(np.abs(c - (tail - acc.a[k]))))
                    for (k, c), (_, tail) in zip(penalty, expected_tail))
@@ -434,9 +440,9 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
 
     whole = [True] * lat.steps
 
-    def root_penalty(ctrl: PredictableControl, fq: list[np.ndarray] | None = None) -> float:
-        cost = _integrand_at(integrand, ctrl) if fq is None else fq.__getitem__
-        sweep = _window_sweep(cost, density_from_control(ctrl), whole)
+    def root_penalty(ctrl: PredictableControl, fq: Sequence[np.ndarray] | None = None) -> float:
+        sweep = _window_sweep(_integrand_at(integrand, ctrl) if fq is None else fq,
+                              density_from_control(ctrl), whole)
         return float(next(v for k, v in sweep if k == 0)[0])
 
     fq = integrand_on_control(integrand, control)
@@ -611,7 +617,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
         rows = len(block)
         # every trial's window from sigma, then every trial's from tau, as rows of one sweep
         both = [np.concatenate((s, t)) for s, t in zip(sigma.reached, tau.reached)]
-        for _, r in _window_sweep(fq.__getitem__, measure, both):
+        for _, r in _window_sweep(fq, measure, both):
             a, b = r[:rows], r[rows:]
             finite = np.isfinite(a) & np.isfinite(b)
             gaps = np.subtract(b, a, out=np.full(a.shape, -np.inf), where=finite)
@@ -619,7 +625,7 @@ def supermartingale_suite(integrand: PenaltyIntegrand, measure: MeasureChange, *
                                    bsde.TOL_IDENTITY)
 
         if oracle_part:
-            window = _window_sweep(fq.__getitem__, measure, between_masks(sigma, tau))
+            window = _window_sweep(fq, measure, between_masks(sigma, tau))
             window_root = next(v for k, v in window if k == 0)[:, 0]
             sigma_frozen = _stopped_process(u_process, sigma)
             frozen = _stopped_process(u_process, tau)
