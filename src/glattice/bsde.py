@@ -9,7 +9,6 @@ enters only through dt when comparing against continuous-time closed forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .drivers import Driver, abs_scaled
-from .lattice import (AdaptedField, Lattice, NodeId, TreeTopology, _trial_blocks,
+from .lattice import (AdaptedField, Lattice, NodeId, TreeTopology, _LazySteps, _trial_blocks,
                       field_max, node_total)
 
 UtilityOperator = Callable[[AdaptedField, int], AdaptedField]
@@ -49,13 +48,10 @@ class BsdeSolution:
 
     @cached_property
     def z(self) -> AdaptedField | None:
-        """The increment field, derived from y with the sweep's own arithmetic; None at t = 0."""
+        """The increment field, from y by the sweep's own arithmetic when read; None at t = 0."""
         lattice = self.y.lattice
-        zs = []
-        for k in range(self.y.stop):
-            down, up = lattice.child_values(self.y[k + 1])
-            zs.append(lattice.increment(down, up))
-        return AdaptedField(lattice, zs, start=0) if zs else None
+        zs = _LazySteps(self.y.stop, lambda k: lattice.increment(*lattice.child_values(self.y[k + 1])))
+        return AdaptedField(lattice, zs, start=0) if len(zs) else None
 
 
 def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: bool = True):
@@ -67,14 +63,14 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
     node within its row when claims are stacked on a leading axis).
     """
     scale = sign * lattice.dt
-    radius = driver.validity_radius if check_radius else math.inf
+    radius = driver.validity_radius if check_radius else np.inf
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         z = lattice.increment(down, up)
         arg = z if sign > 0 else -z
         # fmax and fmin skip NaN, as the test |z| > radius does
-        if radius < math.inf and (np.fmax.reduce(z, axis=None) > radius
-                                  or np.fmin.reduce(z, axis=None) < -radius):
+        if radius < np.inf and (np.fmax.reduce(z, axis=None) > radius
+                                or np.fmin.reduce(z, axis=None) < -radius):
             flat = int(np.argmax(np.abs(z)))
             raise ValidityRadiusError(NodeId(k, flat % z.shape[-1]), float(arg.flat[flat]),
                                       radius)

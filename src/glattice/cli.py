@@ -33,6 +33,7 @@ from .lattice import (
     Lattice,
     PredictableControl,
     TreeTopology,
+    _LazySteps,
     build_grid,
     node_total,
     terminal_field,
@@ -65,7 +66,7 @@ TRIAL_NODE_FLOOR = 4096
 # with a Markov control, at ~40 and ~60 ns per node (2-vCPU host)
 SWEEP_NODE_BUDGET = 10**8
 # bytes per node of the last step that `price` and `penalty` hold at once, as both stream
-# their sweeps: tracemalloc at 8192 steps gives 110 B for price, 435 B for penalty
+# their sweeps: tracemalloc at 8192 steps gives 110 B for price, 443 B for penalty (any control)
 STREAM_BYTES_PER_NODE = 512
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
@@ -200,9 +201,8 @@ CLAIMS = {
 CONTROLS = {
     "zero": lambda lattice: PredictableControl.constant(lattice, 0.0),
     "constant": lambda lattice, q: PredictableControl.constant(lattice, q),
-    "piecewise": lambda lattice, q0, *q1: PredictableControl(lattice, [
-        np.full(lattice.node_count(k), (q0, *q1)[k % (1 + len(q1))])
-        for k in range(lattice.steps)]),
+    "piecewise": lambda lattice, q0, *q1: PredictableControl(lattice, _LazySteps(
+        lattice.steps, lambda k: np.full(lattice.node_count(k), (q0, *q1)[k % (1 + len(q1))]))),
     "feedback": lambda lattice, intercept, gain: PredictableControl.from_state_function(
         lattice, lambda t, level: intercept + gain * level),
 }
@@ -422,10 +422,8 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
                        oracle.value <= formula)
         report.add("oracle_converged", fixture, oracle.converged, True, "", oracle.converged)
 
-    # the cocycle across the deterministic times 0 <= N/2 <= N: one bool a step for each window
-    start, mid, stop = 0, lattice.steps // 2, lattice.steps
-    residual = penalty._cocycle_worst(integrand, measure, [
-        [[start <= k < stop], [start <= k < mid], [mid <= k < stop]] for k in range(lattice.steps)])
+    residual = penalty._deterministic_cocycle(integrand, measure, 0, lattice.steps // 2,
+                                              lattice.steps)
     report.add("cocycle_residual", fixture, residual, 0.0, identity_tol,
                residual <= identity_tol)
 

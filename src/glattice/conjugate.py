@@ -170,18 +170,6 @@ def _latest_t_grid_sup(fun: Callable[[float, Array], Array], radius: float,
     return sup
 
 
-def _gated(vals: Array, q, level: float, dim: int):
-    """`vals` where |q| <= level and +inf elsewhere (a NaN q included), a float for a scalar q.
-
-    In 1-d a q whose extremes lie in [-level, level] keeps `vals` as it is.
-    """
-    qa = np.asarray(q, dtype=float)
-    if not (dim == 1 and qa.size and vals.shape == qa.shape
-            and qa.max() <= level and qa.min() >= -level):  # NaN fails: mask it
-        vals = np.where(_magnitude(qa, dim) <= level, vals, np.inf)
-    return vals if vals.shape else float(vals)
-
-
 def fenchel(driver: Driver) -> PenaltyIntegrand:
     """Convex conjugate of a driver as a penalty integrand.
 
@@ -195,32 +183,25 @@ def fenchel(driver: Driver) -> PenaltyIntegrand:
                          "under the standing normalisation")
     dim = driver.dim
     mu = driver.lipschitz
+    gate_radius = mu if mu is not None else math.inf
+    certified = mu is not None
     notes: tuple[str, ...] = ()
-
     if mu is None and driver.conjugate is None:
         notes = ("domain detection refused: no declared Lipschitz constant and no "
                  "analytic conjugate; finite values computed on the grid only",)
-        gate_radius = math.inf
-        certified = False
-    else:
-        gate_radius = mu if mu is not None else math.inf
-        certified = mu is not None
 
-    if driver.conjugate is not None:
-        inner = driver.conjugate
-    else:
-        if driver.validity_radius != math.inf:
-            z_max = driver.validity_radius
-        else:
-            z_max = 8.0 * max(1.0, mu if mu is not None else 1.0)
-
+    inner = driver.conjugate
+    if inner is None:
+        z_max = (driver.validity_radius if driver.validity_radius != math.inf
+                 else 8.0 * max(1.0, mu if mu is not None else 1.0))
         inner = _latest_t_grid_sup(driver.evaluate, z_max, dim)
 
     def evaluate(t, q):
         vals = np.asarray(inner(t, q), dtype=float)
         if math.isinf(gate_radius):
             return vals if vals.shape else float(vals)
-        return _gated(vals, q, gate_radius, dim)
+        gated = np.where(_magnitude(q, dim) <= gate_radius, vals, np.inf)
+        return gated if gated.shape else float(gated)
 
     origin = 0.0 if dim == 1 else np.zeros(dim)
     at_zero = float(np.asarray(evaluate(0.0, origin)))
@@ -275,7 +256,9 @@ def truncate_integrand(integrand: PenaltyIntegrand, level: float) -> PenaltyInte
     base_eval = integrand.evaluate
 
     def evaluate(t, q):
-        return _gated(np.asarray(base_eval(t, q), dtype=float), q, level, dim)
+        vals = np.asarray(base_eval(t, q), dtype=float)
+        gated = np.where(_magnitude(q, dim) <= level, vals, np.inf)
+        return gated if gated.shape else float(gated)
 
     minimizer = None
     if integrand.step_minimizer is not None:
@@ -330,31 +313,26 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float]) 
     q_grid = np.linspace(-span, span, 201)
     z_grid = np.linspace(-4.0, 4.0, 81)
 
+    def order_breaks(kind: str, grid: Array, rows: list[Array], bad) -> list[tuple]:
+        """(kind, level, point, value, next level's value) at each level's first `bad` point."""
+        found = []
+        for i, (row, after) in enumerate(zip(rows, rows[1:])):
+            where = np.flatnonzero(bad(row, after))
+            if where.size:
+                j = int(where[0])
+                found.append((kind, levels[i], float(grid[j]), float(row[j]), float(after[j])))
+        return found
+
     gated = [truncate_integrand(integrand, n) for n in levels]
     fvals = np.stack([np.asarray(g(0.0, q_grid), dtype=float) for g in gated])
-
-    counterexamples = []
-    decreasing = True
-    for i in range(len(levels) - 1):
-        bad = fvals[i] < fvals[i + 1]
-        if np.any(bad):
-            decreasing = False
-            j = int(np.flatnonzero(bad)[0])
-            counterexamples.append(("integrand_order", levels[i], float(q_grid[j]),
-                                    float(fvals[i, j]), float(fvals[i + 1, j])))
+    counterexamples = order_breaks("integrand_order", q_grid, list(fvals), np.less)
+    decreasing = not counterexamples
 
     conj = [np.asarray(inverse_fenchel(g)(0.0, z_grid), dtype=float) for g in gated]
-    worst = 0.0
-    increasing = True
-    for i in range(len(levels) - 1):
-        gap = conj[i] - conj[i + 1]
-        worst = max(worst, float(np.max(gap)))
-        bad = gap > 1e-9
-        if np.any(bad):
-            increasing = False
-            j = int(np.flatnonzero(bad)[0])
-            counterexamples.append(("conjugate_order", levels[i], float(z_grid[j]),
-                                    float(conj[i][j]), float(conj[i + 1][j])))
+    worst = max([0.0] + [float(np.max(row - after)) for row, after in zip(conj, conj[1:])])
+    conj_breaks = order_breaks("conjugate_order", z_grid, conj, lambda a, b: a - b > 1e-9)
+    increasing = not conj_breaks
+    counterexamples += conj_breaks
 
     base = np.asarray(integrand(0.0, q_grid), dtype=float)
     inf_family = np.min(fvals, axis=0)

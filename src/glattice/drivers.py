@@ -104,10 +104,9 @@ def entropic(gamma: float, radius: float = 8.0, dim: int = 1) -> Driver:
         q = -gamma * np.asarray(zed, dtype=float)
         return np.minimum(np.maximum(q, -gamma * radius), gamma * radius)
 
-    # in 1-d the square of z is |z|**2 exactly, one pass fewer
-    def square(x):
-        return np.square(np.asarray(x, dtype=float)) if dim == 1 else _magnitude(x, dim) ** 2
-
+    # in 1-d the square of z is |z|**2 exactly, in one pass in place of two
+    square = ((lambda x: np.square(np.asarray(x, dtype=float))) if dim == 1
+              else (lambda x: _magnitude(x, dim) ** 2))
     return Driver(
         name=f"entropic:{gamma:g}",
         evaluate=lambda t, z: gamma * square(z) / 2.0,
@@ -253,15 +252,19 @@ def probe_zero(driver: Driver) -> ProbeReport:
     return ProbeReport("zero_at_origin", not failures, worst, failures)
 
 
-def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = PROBE_SAMPLES,
-                    seed: int = 0) -> ProbeReport:
-    """Largest sampled difference quotient, compared against the declared constant."""
+def _sample_pairs(driver: Driver, domain_radius: float, count: int, seed: int):
+    """`count` pairs of z drawn uniformly from the box [-domain_radius, domain_radius]^dim."""
     if domain_radius <= 0:
         raise ValueError("domain_radius must be positive")
     rng = np.random.default_rng(seed)
-    shape = (sample_count,) if driver.dim == 1 else (sample_count, driver.dim)
-    z0 = rng.uniform(-domain_radius, domain_radius, size=shape)
-    z1 = rng.uniform(-domain_radius, domain_radius, size=shape)
+    shape = (count,) if driver.dim == 1 else (count, driver.dim)
+    return [rng.uniform(-domain_radius, domain_radius, size=shape) for _ in range(2)]
+
+
+def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = PROBE_SAMPLES,
+                    seed: int = 0) -> ProbeReport:
+    """Largest sampled difference quotient, compared against the declared constant."""
+    z0, z1 = _sample_pairs(driver, domain_radius, sample_count, seed)
     gaps = _magnitude(z0 - z1, driver.dim)
     keep = gaps > 1e-12
     quotients = np.abs(np.asarray(driver(0.0, z0[keep]), dtype=float)
@@ -275,12 +278,7 @@ def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = PR
 
 def probe_convex(driver: Driver, domain_radius: float, seed: int = 0) -> ProbeReport:
     """Midpoint convexity on sampled pairs."""
-    if domain_radius <= 0:
-        raise ValueError("domain_radius must be positive")
-    rng = np.random.default_rng(seed)
-    shape = (PROBE_SAMPLES,) if driver.dim == 1 else (PROBE_SAMPLES, driver.dim)
-    z0 = rng.uniform(-domain_radius, domain_radius, size=shape)
-    z1 = rng.uniform(-domain_radius, domain_radius, size=shape)
+    z0, z1 = _sample_pairs(driver, domain_radius, PROBE_SAMPLES, seed)
     mid = np.asarray(driver(0.0, (z0 + z1) / 2.0), dtype=float)
     avg = (np.asarray(driver(0.0, z0), dtype=float) + np.asarray(driver(0.0, z1), dtype=float)) / 2.0
     excess = mid - avg

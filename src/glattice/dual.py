@@ -85,8 +85,6 @@ def _step_minimizer(integrand: PenaltyIntegrand, lattice: Lattice):
         t = lattice.grid.time(k)
         if integrand.step_minimizer is not None:
             free = np.asarray(integrand.step_minimizer(t, zed), dtype=float)
-            if free.min() >= -bound and free.max() <= bound:  # NaN fails: clip and flag it
-                return free, np.zeros(free.shape, dtype=bool)
             q = np.clip(free, -bound, bound)
             return q, q != free
         lo = np.full_like(zed, max(-dom, -bound))
@@ -115,7 +113,7 @@ def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
         mean = (up + down) * 0.5
         q, clamp = minimize(k, zed)
         fv = np.asarray(integrand(lattice.grid.time(k), q), dtype=float)
-        if not (fv.max() < math.inf and fv.min() > -math.inf):  # NaN fails too
+        if not np.all(np.isfinite(fv)):
             bad = int(np.flatnonzero(~np.isfinite(fv))[0])
             raise ValueError(f"integrand infinite at its own minimiser, {NodeId(k, bad)}; "
                              "the analytic minimiser must respect the effective domain")
@@ -129,9 +127,8 @@ def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
 def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
     """Backward min-over-controls recursion for the penalised worst-case value.
 
-    The minimising control is not stored: a step read is minimised again from
-    the children of u_{k+1}, the sweep's own arithmetic on its own inputs, so
-    it is bitwise the q the sweep used.  Beyond the claim it is the zero drift.
+    A step of the control read is minimised again from u_{k+1}, bitwise the
+    sweep's q; beyond the claim it is the zero drift.
     """
     lattice = terminal.lattice
     flags: list[np.ndarray] = []  # clamp flags, step start-1 first

@@ -115,8 +115,11 @@ class Lattice:
 
         `last` defaults to the step the given arrays reach (at least `first`).
         This is the one shape check of per-step node data; every fault names
-        its step, a step outside the grid through `node_count`.
+        its step, a step outside the grid through `node_count`.  A `_LazySteps`
+        is taken as built: its builder checks each step.
         """
+        if isinstance(values, _LazySteps):
+            return values
         return self._checked_steps(values, first, last, dtype, stacked=False)
 
     def _checked_steps(self, values: Sequence, first: int, last: int | None, dtype,
@@ -350,18 +353,13 @@ def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] 
 
 
 class PredictableControl:
-    """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition.
-
-    `values` is the per-step list given, or a `_LazySteps` of checked steps
-    (`constant`, `from_state_function`, the dual's minimising control).
-    """
+    """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition."""
 
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray]):
         self.lattice = lattice
-        self.values = (values if isinstance(values, _LazySteps)
-                       else lattice.per_step(values, 0, lattice.steps - 1))
+        self.values = lattice.per_step(values, 0, lattice.steps - 1)
 
     def __getitem__(self, step: int) -> np.ndarray:
         return self.values[step]

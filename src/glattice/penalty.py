@@ -151,9 +151,16 @@ def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
         for h, t in zip(between_masks(sigma, tau), between_masks(tau, upsilon))])
 
 
+def _deterministic_cocycle(integrand: PenaltyIntegrand, measure: MeasureChange,
+                           start: int, mid: int, stop: int) -> float:
+    """`cocycle_residual` at the deterministic times start <= mid <= stop, one bool a step."""
+    windows = [[[start <= k < stop], [start <= k < mid], [mid <= k < stop]]
+               for k in range(measure.lattice.steps)]
+    return _cocycle_worst(integrand, measure, windows)
+
+
 def _cocycle_worst(integrand: PenaltyIntegrand, measure: MeasureChange, windows: Sequence) -> float:
-    """`cocycle_residual` from each step's indicators of the whole window and its two halves:
-    three masks, or for deterministic times [[s <= k < e], [s <= k < m], [m <= k < e]]."""
+    """`cocycle_residual` from each step's indicators of the whole window and its two halves."""
     worst = 0.0
     for _, (w, h, t) in _window_sweep(_integrand_at(integrand, measure.control), measure,
                                       windows):
@@ -201,8 +208,11 @@ def accumulated_cost(integrand: PenaltyIntegrand, control: PredictableControl) -
     return _accumulate(integrand_on_control(integrand, control), control)
 
 
-def _accumulate(fq: list[np.ndarray], control: PredictableControl) -> IncreasingProcess:
-    """The sums behind `accumulated_cost`, given f(t_k, q_k)."""
+def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> IncreasingProcess:
+    """The sums behind `accumulated_cost`, given f(t_k, q_k).
+
+    On the recombining tree A_k is one sum a step, spread over the step's nodes when read.
+    """
     lat = control.lattice
     if not all(np.all(np.isfinite(v)) for v in fq):
         raise ValueError("integrand infinite along the control: accumulated cost undefined")
@@ -211,10 +221,10 @@ def _accumulate(fq: list[np.ndarray], control: PredictableControl) -> Increasing
         for k in range(lat.steps):
             vals.append(lat.push(vals[k] + fq[k] * lat.dt, 1.0, 1.0))
     elif control.is_deterministic():
-        running = 0.0
+        sums = [0.0]
         for k in range(lat.steps):
-            running += float(fq[k][0]) * lat.dt
-            vals.append(np.full(lat.node_count(k + 1), running))
+            sums.append(sums[k] + float(fq[k][0]) * lat.dt)
+        vals = _LazySteps(lat.steps + 1, lambda k: np.full(lat.node_count(k), sums[k]))
     else:
         raise ValueError("accumulated cost is path-dependent: use a full binary tree "
                          "or a deterministic control")
@@ -234,7 +244,10 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     the identity against the penalty process of the full window.
     """
     lat = measure.lattice
-    fq = integrand_on_control(integrand, measure.control)
+    # the recombining tree takes only a deterministic control, whose f(t, q) is evaluated on
+    # each read so that the check holds no field
+    fq = (integrand_on_control if lat.topology is TreeTopology.FULL_BINARY
+          else _integrand_at)(integrand, measure.control)
     acc = _accumulate(fq, measure.control)
     a_n = acc.a[lat.steps]
     if not np.all(np.isfinite(a_n)):

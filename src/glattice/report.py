@@ -57,14 +57,8 @@ class RunReport:
         lines.append(f"environment.seed,,{self.seed},,,true")
         lines.append(f"environment.command,,{self.command},,,true")
         for row in self.rows:
-            lines.append(",".join([
-                row.name,
-                row.fixture,
-                format_cell(row.value),
-                format_cell(row.reference),
-                format_cell(row.tolerance),
-                "true" if row.passed else "false",
-            ]))
+            cells = (row.value, row.reference, row.tolerance, row.passed)
+            lines.append(",".join([row.name, row.fixture, *map(format_cell, cells)]))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str):

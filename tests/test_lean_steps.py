@@ -8,8 +8,6 @@ import pytest
 
 import glattice as gl
 from glattice import bsde, dual
-from glattice.conjugate import _gated
-from glattice.drivers import _magnitude
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -5e-324, 1e300])
 
@@ -63,17 +61,13 @@ def plain_driver_step(driver, lattice, sign, check_radius=True):
 
 
 def plain_entropic(gamma, radius=8.0):
+    """`entropic` with the minimiser clipped by `np.clip`."""
     return dataclasses.replace(
         gl.entropic(gamma, radius),
         evaluate=lambda t, z: gamma * np.abs(np.asarray(z, dtype=float)) ** 2 / 2.0,
         conjugate=lambda t, q: np.abs(np.asarray(q, dtype=float)) ** 2 / (2.0 * gamma),
         step_minimizer=lambda t, zed: np.clip(-gamma * np.asarray(zed, dtype=float),
                                               -gamma * radius, gamma * radius))
-
-
-def plain_gate(vals, q, level, dim):
-    gated = np.where(_magnitude(q, dim) <= level, vals, np.inf)
-    return gated if gated.shape else float(gated)
 
 
 def plain_dual_step(integrand, lattice):
@@ -154,35 +148,6 @@ class TestEntropicForms:
                 for value in (0.0, -0.0, 2.0, -7.0, math.nan, math.inf):
                     assert same_bits(getattr(lean, form)(0.3, value),
                                      getattr(plain, form)(0.3, value)), (form, value)
-
-
-class TestFenchelGate:
-    @pytest.mark.parametrize("level", [0.5, 4.0])
-    def test_gate_keeps_the_masked_bits(self, level):
-        rng = np.random.default_rng(8)
-        for trial in range(300):
-            q = rng.uniform(-1.5 * level, 1.5 * level, size=int(rng.integers(1, 12)))
-            if trial % 3 == 0:  # inside the gate: the extremes decide
-                q = np.clip(q, -level, level)
-            if trial % 5 == 0:
-                q[rng.integers(q.size)] = rng.choice(np.concatenate((SPECIAL, [level, -level])))
-            with np.errstate(all="ignore"):
-                vals = np.square(q)
-                assert same_bits(_gated(vals, q, level, 1), plain_gate(vals, q, level, 1)), q
-        for scalar in (0.0, -0.0, level, -level, np.nextafter(level, 9.0), math.nan, -math.inf):
-            assert _gated(np.asarray(1.5), scalar, level, 1) == plain_gate(np.asarray(1.5), scalar,
-                                                                           level, 1)
-
-    @pytest.mark.parametrize("driver", [gl.abs_scaled(0.5), gl.entropic(1.0, radius=4.0)])
-    def test_integrands_against_the_masked_form(self, driver):
-        f, g = gl.fenchel(driver), gl.truncate_integrand(gl.fenchel(driver), 0.3)
-        rng = np.random.default_rng(4)
-        q = np.concatenate((rng.uniform(-6.0, 6.0, 300), SPECIAL))
-        with np.errstate(all="ignore"):
-            assert same_bits(f(0.0, q), plain_gate(driver.conjugate(0.0, q), q, driver.lipschitz, 1))
-            assert same_bits(g(0.0, q), plain_gate(f(0.0, q), q, 0.3, 1))
-            inside = q[np.abs(q) <= 0.3]
-            assert same_bits(g(0.0, inside), f(0.0, inside))
 
 
 class TestDualStep:

@@ -72,8 +72,7 @@ class TestStreamedPenalty:
             measure = gl.density_from_control(random_control(lat, rng, 1.5))
             s, m, e = sorted(int(x) for x in rng.integers(0, steps + 1, size=3))
             times = [gl.StoppingTime.deterministic(lat, j) for j in (s, m, e)]
-            triples = [[[s <= k < e], [s <= k < m], [m <= k < e]] for k in range(steps)]
-            assert (penalty._cocycle_worst(f, measure, triples)
+            assert (penalty._deterministic_cocycle(f, measure, s, m, e)
                     == gl.cocycle_residual(f, measure, *times)), trial
 
     @pytest.mark.parametrize("control,steps", [("feedback:0.3,0.5", 64),
@@ -89,10 +88,11 @@ class TestStreamedPenalty:
         residual = gl.cocycle_residual(config.build_integrand(config.build_driver()), measure, *times)
         assert row.value == residual and residual > 0.0  # roundoff that depends on the midpoint
 
-    def test_penalty_command_holds_no_field(self):
+    @pytest.mark.parametrize("control", ["feedback:0.3,0.5", "zero", "constant:0.2",
+                                         "piecewise:0.3,-0.2,0.1"])
+    def test_penalty_command_holds_no_field(self, control):
         config = cli.ExperimentConfig.from_dict({
-            "driver": "entropic:1", "control": "feedback:0.3,0.5",
-            "grid": {"horizon": 1.0, "steps": 1024}})
+            "driver": "entropic:1", "control": control, "grid": {"horizon": 1.0, "steps": 1024}})
         tracemalloc.start()
         try:
             report = cli.cmd_penalty(config)
@@ -100,6 +100,59 @@ class TestStreamedPenalty:
         finally:
             tracemalloc.stop()
         assert report.overall_pass
+        # a deterministic control takes the Doob check too
+        assert any(r.name == "doob_residual" for r in report.rows) == (control != "feedback:0.3,0.5")
         # one float field of 1024 steps is 4.2 MB; the control, its measure, the formula's
-        # root and the cocycle's three windows are all swept a step at a time
+        # root, the cocycle's three windows and the Doob check are all swept a step at a time
         assert peak < 2**20, peak
+
+
+def eager_doob(integrand, measure):
+    """`doob_decomposition` of a deterministic control on stored fields: (A field, residual)."""
+    lat = measure.lattice
+    fq = [np.asarray(integrand(lat.grid.time(k), measure.control[k]), dtype=float)
+          for k in range(lat.steps)]
+    running, acc = 0.0, [np.zeros(1)]
+    for k in range(lat.steps):
+        running += float(fq[k][0]) * lat.dt
+        acc.append(np.full(lat.node_count(k + 1), running))
+    cost, tail = [np.zeros(lat.node_count(lat.steps))], [acc[lat.steps]]  # steps N .. 0
+    for k in reversed(range(lat.steps)):
+        p = measure.up_prob[k]
+        down, up = lat.child_values(cost[-1])
+        cost.append(fq[k] * lat.dt + (p * up + (1.0 - p) * down))
+        down, up = lat.child_values(tail[-1])
+        tail.append(p * up + (1.0 - p) * down)
+    residual = max(float(np.max(np.abs(c - (t - acc[k]))))
+                   for k, c, t in zip(range(lat.steps, -1, -1), cost, tail))
+    return acc, residual
+
+
+class TestStreamedDoob:
+    @pytest.mark.parametrize("spec", ["zero", "constant:0.4", "piecewise:0.3,-0.2,0.1"])
+    def test_lazy_accumulation_is_the_stored_one(self, spec):
+        lat = gl.build_grid(1.0, 96)
+        f = gl.fenchel(gl.entropic(1.0))
+        control = cli.ExperimentConfig.from_dict({"control": spec}).build_control(lat)
+        measure = gl.density_from_control(control)
+        acc, residual = eager_doob(f, measure)
+        report = gl.doob_decomposition(f, measure)
+        assert report.residual == residual
+        lazy = report.increasing.a
+        for k in (5, 96, 0, 50, 50, -1):  # interleaved and repeated reads
+            assert lazy[k % 97].tobytes() == acc[k].tobytes(), k
+        cost = gl.accumulated_cost(f, measure.control).a
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(cost.values, acc))
+
+    def test_recombining_doob_holds_no_field(self):
+        lat = gl.build_grid(1.0, 1024)
+        f = gl.fenchel(gl.entropic(1.0))
+        measure = gl.density_from_control(gl.PredictableControl.constant(lat, 0.3))
+        tracemalloc.start()
+        try:
+            report = gl.doob_decomposition(f, measure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.residual <= 1e-12
+        assert peak < 2**20, peak  # one float field of 1024 steps is 4.2 MB
