@@ -497,7 +497,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
             integrand, density_from_control(config.build_control(lattice)),
             trials=config.trials, seed=config.seed, driver=oracle_driver)
         report.add("supermartingale.violations", config.control_spec,
-                   sup.inequality_violations, 0, identity_tol,
+                   sup.inequality_violations, 0, bsde.TOL_IDENTITY,
                    sup.inequality_violations == 0)
         if not sup.skipped_oracle_part:
             report.add("near_optimal_bound.violations", config.control_spec,
@@ -534,7 +534,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
         outcome = penalty.truncation_convergence(integrand, control, config.levels)
         report.add("truncation_monotone", config.control_spec,
                    list(outcome.gated_values)[-1] if outcome.gated_values else 0.0,
-                   outcome.full_value, identity_tol, outcome.passed)
+                   outcome.full_value, bsde.TOL_IDENTITY, outcome.passed)
 
     if "biconjugate" in config.suites:
         radius = driver.validity_radius if math.isfinite(driver.validity_radius) else 4.0

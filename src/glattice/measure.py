@@ -7,7 +7,7 @@ increments exactly q*dt and keeps the density a P-martingale node by node.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -38,11 +38,10 @@ class AdmissibilityError(ValueError):
 class MeasureChange:
     """A measure equivalent to the fair coin, given by per-node up probabilities.
 
-    `up_prob` is one array per step, checked here for its shape and for
-    0 < p < 1 node by node.  The density constructors instead give a formula
-    of the control: each step is checked once here, by the step's extreme
-    controls under a monotone formula and node by node otherwise, and `up_prob`
-    then computes p_k each time the step is read.
+    `up_prob` is one array per step, or a `lattice._LazySteps` that computes
+    p_k each time the step is read.  Each step is checked here for its shape
+    and for 0 < p < 1: a step passes when its least and greatest p do (a NaN
+    fails both), and only a step that fails is scanned for its first bad node.
     """
 
     __slots__ = ("lattice", "control", "up_prob")
@@ -52,29 +51,10 @@ class MeasureChange:
         self.control = control
         self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
         for k, p in enumerate(self.up_prob):
-            self._refuse_outside(k, p)
-
-    @classmethod
-    def _from_formula(cls, control: PredictableControl, formula: Callable[[np.ndarray], np.ndarray],
-                      monotone: bool) -> "MeasureChange":
-        """The measure with p_k = formula(q_k), computed from the control when a step is read."""
-        measure = cls.__new__(cls)
-        measure.lattice = control.lattice
-        measure.control = control
-        measure.up_prob = _LazySteps(control.lattice.steps, lambda k: formula(control[k]))
-        for k in range(control.lattice.steps):
-            q = control[k]
-            if monotone and formula(q.min()) > 0.0 and formula(q.max()) < 1.0:
-                continue  # a failing (or NaN) extreme falls through to name the node
-            measure._refuse_outside(k, measure.up_prob[k])
-        return measure
-
-    def _refuse_outside(self, step: int, p: np.ndarray) -> None:
-        """Raise at the first step-k node whose up-probability leaves (0, 1), NaN included."""
-        bad = np.flatnonzero(~((p > 0.0) & (p < 1.0)))  # NaN fails both tests
-        if bad.size:
-            raise AdmissibilityError(NodeId(step, int(bad[0])), float(self.control[step][bad[0]]),
-                                     1.0 / self.lattice.sqrt_dt)
+            if not (p.min() > 0.0 and p.max() < 1.0):
+                bad = int(np.flatnonzero(~((p > 0.0) & (p < 1.0)))[0])
+                raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
+                                         1.0 / self.lattice.sqrt_dt)
 
     def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Conditional expectation given the step-k node, from its (down, up) child values."""
@@ -111,25 +91,26 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly, which is
     0 < p < 1 for p = (1 + q sqrt(dt))/2; `MeasureChange` raises at the first
     node where p leaves (0, 1) instead of clamping, since clamping would
-    silently change the measure.  Each rounded operation of p is monotone,
-    so p is monotone in q; a step whose extremes pass needs no per-node scan.
+    silently change the measure.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange._from_formula(control, lambda q: (1.0 + q * sdt) * 0.5, monotone=True)
+    return MeasureChange(control, _LazySteps(control.lattice.steps,
+                                             lambda k: (1.0 + control[k] * sdt) * 0.5))
 
 
 def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
     """Measure change from the exponential (Doleans-Dade) density, normalised per node.
 
-    Admissible for every finite control, but carries an O(dt) drift bias:
-    E_Q[dB | F_k] = sqrt(dt) * tanh(q sqrt(dt)) instead of q*dt.  Intended for
-    convergence experiments only; identities exact under the multiplicative
-    form hold only in the dt -> 0 limit here.  numpy's exp is not guaranteed
-    monotone, so every node of every step is checked.
+    Carries an O(dt) drift bias: E_Q[dB | F_k] = sqrt(dt) * tanh(q sqrt(dt))
+    instead of q*dt.  Intended for convergence experiments only; identities
+    exact under the multiplicative form hold only in the dt -> 0 limit here.
+    Not every finite control is admissible: p rounds to 1 once q sqrt(dt)
+    exceeds about 18.4 and to 0 once exp overflows, below about -354.9, and
+    `MeasureChange` raises there as for the multiplicative form.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange._from_formula(control, lambda q: 1.0 / (1.0 + np.exp(-2.0 * q * sdt)),
-                                       monotone=False)
+    return MeasureChange(control, _LazySteps(
+        control.lattice.steps, lambda k: 1.0 / (1.0 + np.exp(-2.0 * control[k] * sdt))))
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

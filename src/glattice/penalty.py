@@ -212,10 +212,10 @@ def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> Increa
     """The sums behind `accumulated_cost`, given f(t_k, q_k).
 
     On the recombining tree A_k is one sum a step, spread over the step's nodes when read.
+    A non-finite f(t_k, q_k) reaches every later sum through its node's paths,
+    so A_N alone decides whether the cost is finite.
     """
     lat = control.lattice
-    if not all(np.all(np.isfinite(v)) for v in fq):
-        raise ValueError("integrand infinite along the control: accumulated cost undefined")
     vals = [np.zeros(1)]
     if lat.topology is TreeTopology.FULL_BINARY:
         for k in range(lat.steps):
@@ -228,6 +228,8 @@ def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> Increa
     else:
         raise ValueError("accumulated cost is path-dependent: use a full binary tree "
                          "or a deterministic control")
+    if not np.all(np.isfinite(vals[-1])):
+        raise ValueError("integrand infinite along the control: accumulated cost undefined")
     return IncreasingProcess(AdaptedField(lat, vals, start=0))
 
 
@@ -249,11 +251,8 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     fq = (integrand_on_control if lat.topology is TreeTopology.FULL_BINARY
           else _integrand_at)(integrand, measure.control)
     acc = _accumulate(fq, measure.control)
-    a_n = acc.a[lat.steps]
-    if not np.all(np.isfinite(a_n)):
-        raise ValueError("infinite accumulated cost: the Doob identity needs a finite penalty")
     penalty = _window_sweep(fq, measure, [True] * lat.steps)
-    expected_tail = lat.sweep(lat.steps, a_n, measure.one_step_expectation)
+    expected_tail = lat.sweep(lat.steps, acc.a[lat.steps], measure.one_step_expectation)
     residual = max(float(np.max(np.abs(c - (tail - acc.a[k]))))
                    for (k, c), (_, tail) in zip(penalty, expected_tail))
     return DoobReport(increasing=acc, residual=residual)

@@ -213,6 +213,18 @@ class TestCommands:
             suites=["axioms", "supermartingale", "pasting", "truncation"])
         assert main(["props", "--config", cfg]) == 0
 
+    def test_props_prints_the_tolerance_each_row_applies(self, tmp_path):
+        # tolerances.identity governs the acceptance decomposition; the supermartingale
+        # and truncation suites count at bsde.TOL_IDENTITY whatever the config says
+        out = tmp_path / "props.csv"
+        cfg = write_config(tmp_path, driver="entropic:1,16", control="constant:0.4", trials=5,
+                           suites=["supermartingale", "truncation"], tolerances={"identity": 1e-6},
+                           grid={"horizon": 1.0, "steps": 3, "topology": "full_binary"})
+        assert main(["props", "--config", cfg, "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",")[4] for line in out.read_text().splitlines()}
+        assert rows["acceptance_decomposition"] == "1e-06"
+        assert rows["supermartingale.violations"] == rows["truncation_monotone"] == "1e-12"
+
     def test_props_malformed_driver_fails_concavity(self, tmp_path, capsys):
         cfg = write_config(tmp_path, driver="malformed", suites=["axioms"], trials=10)
         assert main(["props", "--config", cfg]) == 1

@@ -111,6 +111,16 @@ class TestExponentialDensity:
         Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 5.0))
         assert all(np.all((0 < p) & (p < 1)) for p in Q.up_prob)
 
+    def test_large_controls_round_p_to_one_but_not_to_zero(self):
+        # q sqrt(dt) = 20: exp(-40) is below half an ulp of 1, so p rounds to 1.0;
+        # at -20 p = 1 / (1 + exp(40)), about 4.2e-18, stays in (0, 1)
+        lat = gl.build_grid(1.0, 4)
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 40.0))
+        assert (err.value.node, err.value.value, err.value.bound) == (gl.NodeId(0, 0), 40.0, 2.0)
+        Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, -40.0))
+        assert all(np.all((0 < p) & (p < 1)) for p in Q.up_prob)
+
     def test_drift_bias_is_tanh(self):
         lat = gl.build_grid(1.0, 4)
         q = 0.8
@@ -344,3 +354,52 @@ class TestAdmissibilityFromExtremes:
             got, expected = err.value.value, control[want.step][want.index]
             assert got == expected or math.isnan(got) and math.isnan(expected)
         assert 50 < refused < 250  # both outcomes are exercised
+
+
+def first_outside(up_prob):
+    """The first node, step by step, whose p is not in (0, 1), read one node at a time."""
+    for k, p in enumerate(up_prob):
+        for i, x in enumerate(p.tolist()):
+            if not 0.0 < x < 1.0:
+                return gl.NodeId(k, i)
+    return None
+
+
+class TestOneAdmissibilityRule:
+    @settings(deadline=None)
+    @given(data=st.data(), topology=st.sampled_from(list(gl.TreeTopology)),
+           build=st.sampled_from([gl.MeasureChange, gl.density_from_control,
+                                  gl.exponential_density_from_control]))
+    def test_every_constructor_refuses_as_the_node_scan(self, data, topology, build):
+        lat = gl.build_grid(data.draw(st.floats(0.1, 3.0)), data.draw(st.integers(1, 8)),
+                            topology)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        edge = 1.0 / lat.sqrt_dt
+        special = [0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(0.0, 1.0),
+                   np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e300, -1e300, math.nan,
+                   40.0 * edge, -40.0 * edge]
+        for e in (edge, -edge):
+            special += [e, np.nextafter(e, 0.0), np.nextafter(e, 2.0 * e)]
+        low, high = (0.05, 0.95) if build is gl.MeasureChange else (-0.9 * edge, 0.9 * edge)
+        values = [rng.uniform(low, high, lat.node_count(k)) for k in range(lat.steps)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            k = data.draw(st.integers(0, lat.steps - 1))
+            values[k][data.draw(st.integers(0, values[k].size - 1))] = data.draw(
+                st.sampled_from(special))
+        with np.errstate(over="ignore"):  # exp(-2 q sqrt(dt)) is inf for a huge negative q
+            if build is gl.MeasureChange:  # `values` are the up-probabilities themselves
+                control, up_prob, args = random_control(lat, rng, 1.0), values, (values,)
+            else:
+                control, args = gl.PredictableControl(lat, values), ()
+                up_prob = stored_up_probabilities(
+                    control, build is gl.exponential_density_from_control)
+            want = first_outside(up_prob)
+            if want is None:
+                Q = build(control, *args)
+                assert all(np.array_equal(got, p) for got, p in zip(Q.up_prob, up_prob))
+                return
+            with pytest.raises(gl.AdmissibilityError) as err:
+                build(control, *args)
+        assert err.value.node == want and err.value.bound == edge
+        got, expected = err.value.value, float(control[want.step][want.index])
+        assert got == expected or math.isnan(got) and math.isnan(expected)

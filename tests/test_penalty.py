@@ -222,6 +222,20 @@ class TestDoob:
         with pytest.raises(ValueError, match="path-dependent"):
             gl.doob_decomposition(f, Q)
 
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    def test_infinite_integrand_is_refused(self, topology):
+        # the indicator of [-0.5, 0.5] is +inf where q = 0.7: at the last step-2 node of the
+        # full binary tree, and on all of step 2 of the recombining one (a deterministic control)
+        lat = gl.build_grid(1.0, 5, topology)
+        values = [np.full(lat.node_count(k), 0.2) for k in range(lat.steps)]
+        values[2][-1 if topology is gl.TreeTopology.FULL_BINARY else slice(None)] = 0.7
+        f = gl.fenchel(gl.abs_scaled(0.5))
+        control = gl.PredictableControl(lat, values)
+        with pytest.raises(ValueError, match="accumulated cost undefined"):
+            gl.accumulated_cost(f, control)
+        with pytest.raises(ValueError, match="accumulated cost undefined"):
+            gl.doob_decomposition(f, gl.density_from_control(control))
+
     def test_increasing_process_invariants(self, full6):
         rng = np.random.default_rng(5)
         _, f = entropic_pair()
