@@ -39,7 +39,7 @@ from .lattice import (
     terminal_field,
 )
 from .measure import density_from_control
-from .report import RunReport
+from .report import RunReport, format_cell
 
 DEFAULT_TOLERANCES = {
     "duality_gap": 1e-10,
@@ -427,8 +427,7 @@ def cmd_penalty(config: ExperimentConfig) -> RunReport:
     report.add("cocycle_residual", fixture, residual, 0.0, identity_tol,
                residual <= identity_tol)
 
-    if math.isfinite(formula) and (
-            lattice.topology is TreeTopology.FULL_BINARY or control.is_deterministic()):
+    if math.isfinite(formula) and penalty._pathwise_cost(control):
         doob = penalty.doob_decomposition(integrand, measure)
         report.add("doob_residual", fixture, doob.residual, 0.0, identity_tol,
                    doob.residual <= identity_tol)
@@ -557,8 +556,7 @@ def cmd_conjugate(config: ExperimentConfig) -> tuple[RunReport, str]:
     for t in times:
         values = np.asarray(integrand(t, qs), dtype=float)
         for q, v in zip(qs, values):
-            text = "inf" if math.isinf(v) else repr(float(v))
-            lines.append(f"{repr(float(t))},{repr(float(q))},{text}")
+            lines.append(",".join(format_cell(float(x)) for x in (t, q, v)))
     report.add("tabulated_points", integrand.name, len(times) * points, "", "", True)
     return report, "\n".join(lines) + "\n"
 

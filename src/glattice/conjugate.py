@@ -170,6 +170,17 @@ def _latest_t_grid_sup(fun: Callable[[float, Array], Array], radius: float,
     return sup
 
 
+def _gated(evaluate: Callable[[float, Array], Array], radius: float, dim: int) -> Callable:
+    """`evaluate` with +inf where |q| > radius, no gate at an infinite radius; a float for a scalar q."""
+    def gated(t, q):
+        vals = np.asarray(evaluate(t, q), dtype=float)
+        if not math.isinf(radius):
+            vals = np.where(_magnitude(q, dim) <= radius, vals, np.inf)
+        return vals if vals.shape else float(vals)
+
+    return gated
+
+
 def fenchel(driver: Driver) -> PenaltyIntegrand:
     """Convex conjugate of a driver as a penalty integrand.
 
@@ -196,13 +207,7 @@ def fenchel(driver: Driver) -> PenaltyIntegrand:
                  else 8.0 * max(1.0, mu if mu is not None else 1.0))
         inner = _latest_t_grid_sup(driver.evaluate, z_max, dim)
 
-    def evaluate(t, q):
-        vals = np.asarray(inner(t, q), dtype=float)
-        if math.isinf(gate_radius):
-            return vals if vals.shape else float(vals)
-        gated = np.where(_magnitude(q, dim) <= gate_radius, vals, np.inf)
-        return gated if gated.shape else float(gated)
-
+    evaluate = _gated(inner, gate_radius, dim)
     origin = 0.0 if dim == 1 else np.zeros(dim)
     at_zero = float(np.asarray(evaluate(0.0, origin)))
     return PenaltyIntegrand(
@@ -253,13 +258,6 @@ def truncate_integrand(integrand: PenaltyIntegrand, level: float) -> PenaltyInte
     if level < 0:
         raise ValueError("truncation level must be nonnegative")
     dim = integrand.dim
-    base_eval = integrand.evaluate
-
-    def evaluate(t, q):
-        vals = np.asarray(base_eval(t, q), dtype=float)
-        gated = np.where(_magnitude(q, dim) <= level, vals, np.inf)
-        return gated if gated.shape else float(gated)
-
     minimizer = None
     if integrand.step_minimizer is not None:
         base_min = integrand.step_minimizer
@@ -275,7 +273,7 @@ def truncate_integrand(integrand: PenaltyIntegrand, level: float) -> PenaltyInte
     return replace(
         integrand,
         name=f"{integrand.name}|level<={level:g}",
-        evaluate=evaluate,
+        evaluate=_gated(integrand.evaluate, level, dim),
         domain_radius=min(level, integrand.domain_radius),
         step_minimizer=minimizer,
     )

@@ -23,15 +23,15 @@ from .lattice import (
 
 
 class AdmissibilityError(ValueError):
-    """A control violates |q| * sqrt(dt) < 1, so the implied measure is not equivalent."""
+    """A control's up-probability leaves (0, 1), so the implied measure is not equivalent."""
 
-    def __init__(self, node: NodeId, value: float, bound: float):
+    def __init__(self, node: NodeId, value: float, bound: float, up_prob: float):
         self.node = node
         self.value = value
         self.bound = bound
         super().__init__(
-            f"inadmissible control at {node}: |{value}| >= 1/sqrt(dt) = {bound}; "
-            "the implied up-probability leaves (0, 1)"
+            f"inadmissible control at {node}: its up-probability {up_prob} is not in (0, 1) "
+            f"(control {value})"
         )
 
 
@@ -54,7 +54,7 @@ class MeasureChange:
             if not (p.min() > 0.0 and p.max() < 1.0):
                 bad = int(np.flatnonzero(~((p > 0.0) & (p < 1.0)))[0])
                 raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
-                                         1.0 / self.lattice.sqrt_dt)
+                                         1.0 / self.lattice.sqrt_dt, float(p[bad]))
 
     def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Conditional expectation given the step-k node, from its (down, up) child values."""
@@ -105,12 +105,12 @@ def exponential_density_from_control(control: PredictableControl) -> MeasureChan
     instead of q*dt.  Intended for convergence experiments only; identities
     exact under the multiplicative form hold only in the dt -> 0 limit here.
     Not every finite control is admissible: p rounds to 1 once q sqrt(dt)
-    exceeds about 18.4 and to 0 once exp overflows, below about -354.9, and
-    `MeasureChange` raises there as for the multiplicative form.
+    exceeds about 18.4 and to 0 once exp overflows (silently), below about
+    -354.9, and `MeasureChange` raises there as for the multiplicative form.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, _LazySteps(
-        control.lattice.steps, lambda k: 1.0 / (1.0 + np.exp(-2.0 * control[k] * sdt))))
+    up = np.errstate(over="ignore")(lambda k: 1.0 / (1.0 + np.exp(-2.0 * control[k] * sdt)))
+    return MeasureChange(control, _LazySteps(control.lattice.steps, up))
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

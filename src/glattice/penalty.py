@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -164,12 +164,7 @@ def _cocycle_worst(integrand: PenaltyIntegrand, measure: MeasureChange, windows:
     worst = 0.0
     for _, (w, h, t) in _window_sweep(_integrand_at(integrand, measure.control), measure,
                                       windows):
-        combined_inf = np.isinf(h) | np.isinf(t)
-        if not np.array_equal(np.isinf(w), combined_inf):
-            return math.inf
-        ok = ~combined_inf
-        if np.any(ok):
-            worst = max(worst, float(np.max(np.abs(w[ok] - h[ok] - t[ok]))))
+        worst = max(worst, _extended_gap(w, h, t))
     return worst
 
 
@@ -208,6 +203,11 @@ def accumulated_cost(integrand: PenaltyIntegrand, control: PredictableControl) -
     return _accumulate(integrand_on_control(integrand, control), control)
 
 
+def _pathwise_cost(control: PredictableControl) -> bool:
+    """Whether the accumulated cost A is a node field: full binary tree or deterministic control."""
+    return control.lattice.topology is TreeTopology.FULL_BINARY or control.is_deterministic()
+
+
 def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> IncreasingProcess:
     """The sums behind `accumulated_cost`, given f(t_k, q_k).
 
@@ -216,18 +216,18 @@ def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> Increa
     so A_N alone decides whether the cost is finite.
     """
     lat = control.lattice
+    if not _pathwise_cost(control):
+        raise ValueError("accumulated cost is path-dependent: use a full binary tree "
+                         "or a deterministic control")
     vals = [np.zeros(1)]
     if lat.topology is TreeTopology.FULL_BINARY:
         for k in range(lat.steps):
             vals.append(lat.push(vals[k] + fq[k] * lat.dt, 1.0, 1.0))
-    elif control.is_deterministic():
+    else:
         sums = [0.0]
         for k in range(lat.steps):
             sums.append(sums[k] + float(fq[k][0]) * lat.dt)
         vals = _LazySteps(lat.steps + 1, lambda k: np.full(lat.node_count(k), sums[k]))
-    else:
-        raise ValueError("accumulated cost is path-dependent: use a full binary tree "
-                         "or a deterministic control")
     if not np.all(np.isfinite(vals[-1])):
         raise ValueError("integrand infinite along the control: accumulated cost undefined")
     return IncreasingProcess(AdaptedField(lat, vals, start=0))
@@ -299,14 +299,16 @@ def pasting_check(integrand: PenaltyIntegrand, first: PredictableControl,
     return PastingReport(worst, restriction_worst, passed)
 
 
-def _extended_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Max absolute gap between extended-real arrays; +inf entries must coincide."""
-    if not np.array_equal(np.isinf(a), np.isinf(b)):
+def _extended_gap(a: np.ndarray, *parts: np.ndarray) -> float:
+    """Max |a - part_1 - part_2 ...|, subtracted left to right, over the finite entries of a.
+
+    Extended reals: +inf must be in a exactly where it is in some part, else the gap is +inf.
+    """
+    if not np.array_equal(np.isinf(a), np.any(np.isinf(parts), axis=0)):
         return math.inf
     finite = np.isfinite(a)
-    if not np.any(finite):
-        return 0.0
-    return float(np.max(np.abs(a[finite] - b[finite])))
+    gap = reduce(np.subtract, [part[finite] for part in parts], a[finite])
+    return float(np.max(np.abs(gap), initial=0.0))
 
 
 # -- primal oracle ----------------------------------------------------------
@@ -442,8 +444,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     For gates H_n = {|q| <= n} the report checks monotone approach and exact
     equality once the gate clears max |q| (the gated control is then bitwise
     the original).  The stopping variant uses the first time the accumulated
-    cost reaches n; it needs pathwise accumulation, so it runs on full binary
-    trees or deterministic controls and is otherwise skipped.
+    cost reaches n; it needs a finite pathwise cost, so it runs on full binary
+    trees or deterministic controls of finite penalty and is otherwise skipped.
     """
     lat = control.lattice
     levels = tuple(levels)
@@ -467,9 +469,8 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     stopped_values = None
     stopped_monotone = None
     bound_ok = None
-    finite_cost = all(np.all(np.isfinite(v)) for v in fq)
-    skipped = not (finite_cost and (lat.topology is TreeTopology.FULL_BINARY
-                                    or control.is_deterministic()))
+    # every node has positive probability, so the root is finite exactly when every f(t, q) is
+    skipped = not (math.isfinite(full_value) and _pathwise_cost(control))
     if not skipped:
         acc = _accumulate(fq, control)
         max_increment = max(float(np.max(inc)) for inc in acc.increments())
@@ -478,12 +479,10 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
         for n in levels:
             stop_at = hitting_time(lat, [acc.a[k] >= n for k in range(lat.steps + 1)])
             vals.append(root_penalty(stop_control(control, stop_at)))
-            if lat.topology is TreeTopology.FULL_BINARY:
-                stopped_cost = _stopped_process(acc.a, stop_at)[lat.steps]
-            else:
-                step = int(np.flatnonzero([bool(m[0]) for m in stop_at.reached])[0])
-                stopped_cost = acc.a[step][:1]
-            bound_ok &= bool(np.all(stopped_cost <= n + max_increment + 1e-12))
+            # A at tau: its values where tau first stops, reached with no parent reached
+            for k, reached in enumerate(stop_at.reached):
+                first = reached & ~lat.push(stop_at.reached[k - 1], True, True) if k else reached
+                bound_ok &= bool(np.all(acc.a[k][first] <= n + max_increment + 1e-12))
         stopped_values = tuple(vals)
         stopped_monotone = all(b >= a - bsde.TOL_IDENTITY for a, b in zip(vals, vals[1:]))
         stopped_monotone &= all(v <= full_value + bsde.TOL_IDENTITY for v in vals)

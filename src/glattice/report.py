@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
 def format_cell(value) -> str:
-    """Deterministic cell text; +inf round-trips as the literal 'inf'."""
+    """Deterministic cell text: `true`/`false` for a bool, else `str` (a float's shortest repr)."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
     return str(value)
 
 

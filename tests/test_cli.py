@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import glattice as gl
 from glattice.cli import (CLAIMS, COMMANDS, CONTROLS, DRIVERS, INTEGRANDS, ConfigError,
                           ExperimentConfig, closed_form_reference, main)
-from glattice.report import RunReport
+from glattice.report import RunReport, format_cell
 from conftest import max_field_diff
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -443,6 +443,15 @@ class TestDeterminism:
         config = ROOT / "configs" / f"{name}.json"
         assert main([name, "--config", str(config), "--out", str(out)]) == 0
         assert out.read_bytes() == (ROOT / "tests" / "golden" / f"{name}.csv").read_bytes()
+
+
+class TestFormatCell:
+    # -inf is written by no sample config, so the golden CSVs cannot show it
+    @pytest.mark.parametrize("value, text", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"), (0.1, "0.1"),
+        (1e-12, "1e-12"), (5e-324, "5e-324"), (12, "12"), (True, "true"), (False, "false")])
+    def test_cell_text(self, value, text):
+        assert format_cell(value) == text
 
 
 def limit_physical_memory(monkeypatch, nbytes):

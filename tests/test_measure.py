@@ -121,6 +121,25 @@ class TestExponentialDensity:
         Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, -40.0))
         assert all(np.all((0 < p) & (p < 1)) for p in Q.up_prob)
 
+    def test_refusal_names_the_up_probability_not_the_multiplicative_bound(self):
+        # the logistic density takes the control 5 > 1/sqrt(dt) = 2, and refuses 40 because
+        # its up-probability rounds to 1.0
+        lat = gl.build_grid(1.0, 4)
+        gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 5.0))
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 40.0))
+        message = str(err.value)
+        assert "node(step=0, index=0)" in message and "sqrt(dt)" not in message
+        assert "up-probability 1.0 is not in (0, 1)" in message
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_exp_is_a_refusal_not_a_warning(self):
+        # exp(-2 q sqrt(dt)) = exp(1000) overflows to inf, so p is 0.0
+        lat = gl.build_grid(1.0, 4)
+        with pytest.raises(gl.AdmissibilityError, match=r"up-probability 0\.0 is not in") as err:
+            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, -1000.0))
+        assert (err.value.node, err.value.value) == (gl.NodeId(0, 0), -1000.0)
+
     def test_drift_bias_is_tanh(self):
         lat = gl.build_grid(1.0, 4)
         q = 0.8
@@ -354,6 +373,24 @@ class TestAdmissibilityFromExtremes:
             got, expected = err.value.value, control[want.step][want.index]
             assert got == expected or math.isnan(got) and math.isnan(expected)
         assert 50 < refused < 250  # both outcomes are exercised
+
+
+class TestAdmissibilityMessage:
+    def test_explicit_up_probabilities_name_the_one_outside(self):
+        lat = gl.build_grid(1.0, 4)
+        up_prob = [np.full(k + 1, 0.5) for k in range(4)]
+        up_prob[2][1] = 1.0
+        with pytest.raises(gl.AdmissibilityError) as err:
+            gl.MeasureChange(gl.PredictableControl.constant(lat, 0.1), up_prob)
+        assert (err.value.node, err.value.value, err.value.bound) == (gl.NodeId(2, 1), 0.1, 2.0)
+        assert str(err.value) == ("inadmissible control at node(step=2, index=1): its "
+                                  "up-probability 1.0 is not in (0, 1) (control 0.1)")
+
+    def test_multiplicative_density_names_its_up_probability(self):
+        # p = (1 + 5 * 0.5) / 2 = 1.75
+        lat = gl.build_grid(1.0, 4)
+        with pytest.raises(gl.AdmissibilityError, match=r"up-probability 1\.75 is not in"):
+            gl.density_from_control(gl.PredictableControl.constant(lat, 5.0))
 
 
 def first_outside(up_prob):

@@ -499,6 +499,30 @@ REFERENCE_INTEGRANDS = {
 }
 
 
+def reference_stopping(f, control, levels):
+    """The stopping part of `truncation_convergence` by per-topology rules: A at tau per path
+    on the full binary tree, at the first reached step on the recombining tree, and a skip
+    whenever some f(t, q) is infinite.  Returns (stopped values, cost bound held, skipped)."""
+    lat = control.lattice
+    fq = gl.integrand_on_control(f, control)
+    if not (all(np.all(np.isfinite(v)) for v in fq) and (
+            lat.topology is gl.TreeTopology.FULL_BINARY or control.is_deterministic())):
+        return None, None, True
+    acc = gl.accumulated_cost(f, control)
+    max_increment = max(float(np.max(inc)) for inc in acc.increments())
+    values, bound_ok = [], True
+    for n in levels:
+        stop = gl.hitting_time(lat, [acc.a[k] >= n for k in range(lat.steps + 1)])
+        stopped = gl.density_from_control(gl.stop_control(control, stop))
+        values.append(gl.penalty_formula(f, stopped, 0, lat.steps).initial())
+        if lat.topology is gl.TreeTopology.FULL_BINARY:
+            cost = _stopped_process(acc.a, stop)[lat.steps]
+        else:
+            cost = acc.a[int(np.flatnonzero([bool(m[0]) for m in stop.reached])[0])][:1]
+        bound_ok &= bool(np.all(cost <= n + max_increment + 1e-12))
+    return tuple(values), bound_ok, False
+
+
 def reference_case(topology, steps, seed, integrand):
     """A lattice, an integrand, a random measure and the rng that drew it."""
     lat = gl.build_grid(1.0, steps, topology)
@@ -552,6 +576,26 @@ class TestStreamedChecksMatchReferences:
         assert (field.start, field.stop) == (start, stop)
         for k in range(start, stop + 1):
             assert np.array_equal(field.at(k), process[k])
+
+    @given(topology=st.sampled_from(list(gl.TreeTopology)), steps=st.integers(1, 7),
+           seed=st.integers(0, 2**32 - 1), integrand=st.sampled_from(["box", "entropic"]),
+           deterministic=st.booleans(), amplitude=st.sampled_from([0.4, 1.5]),
+           levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True))
+    @settings(deadline=None)
+    def test_truncation_stopping(self, topology, steps, seed, integrand, deterministic,
+                                 amplitude, levels):
+        # box is +inf where |q| > 0.5; entropic costs q^2 / 2 a unit of time, so levels
+        # below about amplitude^2 / 2 stop some paths before the horizon
+        lat = gl.build_grid(1.0, steps, topology)
+        rng = np.random.default_rng(seed)
+        f = REFERENCE_INTEGRANDS[integrand]
+        control = random_control(lat, rng, amplitude)
+        if deterministic:
+            control = control.map(lambda k, q: np.full(q.size, q[0]))
+        levels = sorted(levels)
+        report = gl.truncation_convergence(f, control, levels)
+        assert (report.stopped_values, report.stopped_cost_bound_ok, report.stopping_skipped) \
+            == reference_stopping(f, control, levels)
 
     def test_unordered_windows_are_refused(self, rec8):
         _, f = entropic_pair()
