@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, bsde, dual, penalty
 from .conjugate import (
+    FAMILY_TOLERANCE,
     PenaltyIntegrand,
     biconjugate_gap,
     fenchel,
@@ -361,7 +362,7 @@ def _refuse_oversized(command: str, config: ExperimentConfig) -> None:
     held = max(nodes * BYTES_PER_NODE.get(name, 0)
                for name in (config.suites if command == "props" else [command]))
     if command in ("price", "penalty"):
-        last = 2**config.steps if config.topology is TreeTopology.FULL_BINARY else config.steps + 1
+        last = node_total(config.topology, config.steps) - node_total(config.topology, config.steps - 1)
         held = last * STREAM_BYTES_PER_NODE
     if command == "conjugate":
         held = config.tabulate["points"] * len(config.tabulate["times"]) * BYTES_PER_ROW
@@ -508,7 +509,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
     if "monotone_family" in config.suites:
         family = monotone_family_check(integrand, config.levels)
         report.add("monotone_family", integrand.name, family.worst_conjugate_violation,
-                   0.0, 1e-9, family.passed)
+                   0.0, FAMILY_TOLERANCE, family.passed)
 
     if "pasting" in config.suites:
         lattice = config.build_lattice()

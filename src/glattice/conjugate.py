@@ -24,6 +24,7 @@ TILE_SCORES = 2**18  # slope-by-point scores per tile of the grid sup: 2 MiB of 
 REFINE_POINTS_1D = 129
 GRID_POINTS_PER_AXIS = {1: GRID_POINTS_1D, 2: 129, 3: 33}
 REFINE_POINTS_PER_AXIS = {1: REFINE_POINTS_1D, 2: 17, 3: 9}
+FAMILY_TOLERANCE = 1e-9  # conjugate order slack of the monotone family: one grid per level
 
 
 @dataclass
@@ -259,16 +260,11 @@ def truncate_integrand(integrand: PenaltyIntegrand, level: float) -> PenaltyInte
         raise ValueError("truncation level must be nonnegative")
     dim = integrand.dim
     minimizer = None
-    if integrand.step_minimizer is not None:
+    if integrand.step_minimizer is not None and dim == 1:
         base_min = integrand.step_minimizer
 
         def minimizer(t, zed, _n=level):
-            q = np.asarray(base_min(t, zed), dtype=float)
-            if dim == 1:
-                return np.clip(q, -_n, _n)
-            norm = _magnitude(q, dim)
-            scale = np.where(norm > _n, np.where(norm > 0, _n / norm, 1.0), 1.0)
-            return q * scale[..., None]
+            return np.clip(np.asarray(base_min(t, zed), dtype=float), -_n, _n)
 
     return replace(
         integrand,
@@ -300,7 +296,7 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float]) 
 
     Runs at t = 0.  The infimum check demands exact equality at every grid
     point some level covers; the conjugate monotonicity allows a grid
-    tolerance of 1e-9 because each level is conjugated on its own grid.
+    tolerance of FAMILY_TOLERANCE because each level is conjugated on its own grid.
     """
     levels = tuple(levels)
     if any(b <= a for a, b in zip(levels, levels[1:])):
@@ -328,7 +324,7 @@ def monotone_family_check(integrand: PenaltyIntegrand, levels: Sequence[float]) 
 
     conj = [np.asarray(inverse_fenchel(g)(0.0, z_grid), dtype=float) for g in gated]
     worst = max([0.0] + [float(np.max(row - after)) for row, after in zip(conj, conj[1:])])
-    conj_breaks = order_breaks("conjugate_order", z_grid, conj, lambda a, b: a - b > 1e-9)
+    conj_breaks = order_breaks("conjugate_order", z_grid, conj, lambda a, b: a - b > FAMILY_TOLERANCE)
     increasing = not conj_breaks
     counterexamples += conj_breaks
 

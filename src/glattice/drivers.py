@@ -120,33 +120,17 @@ def entropic(gamma: float, radius: float = 8.0, dim: int = 1) -> Driver:
     )
 
 
-def linear(slope) -> Driver:
-    """g(z) = b . z, the drift-only driver (1-d unless a vector slope is given)."""
-    b = np.asarray(slope, dtype=float)
-    dim = 1 if b.shape == () else int(b.shape[0])
-    mu = float(np.linalg.norm(b))
-
-    if dim == 1:
-        evaluate = lambda t, z: float(b) * np.asarray(z, dtype=float)
-        conjugate = lambda t, q: np.where(np.asarray(q, dtype=float) == float(b), 0.0, np.inf)
-    else:
-        evaluate = lambda t, z: np.asarray(z, dtype=float) @ b
-        conjugate = lambda t, q: np.where(
-            _magnitude(np.asarray(q, dtype=float) - b, dim) == 0.0, 0.0, np.inf)
-
-    minimizer = None
-    if dim == 1:
-        minimizer = lambda t, zed: np.broadcast_to(b, np.shape(zed)).copy()
-
+def linear(slope: float) -> Driver:
+    """g(z) = b z, the drift-only driver."""
+    b = float(slope)
     return Driver(
-        name=f"linear:{slope!r}" if dim > 1 else f"linear:{float(b):g}",
-        evaluate=evaluate,
-        lipschitz=mu,
+        name=f"linear:{b:g}",
+        evaluate=lambda t, z: b * np.asarray(z, dtype=float),
+        lipschitz=abs(b),
         convex=True,
-        dim=dim,
         positively_homogeneous=True,
-        conjugate=conjugate,
-        step_minimizer=minimizer,
+        conjugate=lambda t, q: np.where(np.asarray(q, dtype=float) == b, 0.0, np.inf),
+        step_minimizer=lambda t, zed: np.broadcast_to(b, np.shape(zed)).copy(),
         subgradient=lambda t, z: np.broadcast_to(b, np.shape(z)).copy(),
     )
 

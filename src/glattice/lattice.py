@@ -183,10 +183,7 @@ class Lattice:
         """
         to_down = values * down
         to_up = values * up
-        shape = to_down.shape
-        if to_up.shape != shape:
-            shape = np.broadcast(to_down, to_up).shape
-        *rows, nodes = shape
+        *rows, nodes = to_down.shape
         dtype = np.result_type(to_down, to_up)
         if self.topology is TreeTopology.RECOMBINING:
             out = np.zeros((*rows, nodes + 1), dtype=dtype)
@@ -334,15 +331,13 @@ class AdaptedField:
 
 
 def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] | Sequence[float]) -> AdaptedField:
-    """Terminal claim at the last step, from a payoff on the Brownian level or an explicit vector.
+    """Terminal claim at the last step: a payoff's value at each terminal level, or an explicit vector.
 
     The claim must be essentially bounded: any non-finite entry is rejected.
     """
     n = lattice.node_count(lattice.steps)
     if callable(payoff):
         vec = np.asarray(payoff(lattice.level_values(lattice.steps)), dtype=float)
-        if vec.shape == ():
-            vec = np.full(n, float(vec))
     else:
         vec = np.asarray(payoff, dtype=float)
     if vec.shape != (n,):

@@ -267,3 +267,17 @@ class TestAxiomSuite:
         a = gl.axiom_suite(gl.abs_scaled(0.5), full8, trials=50, seed=9)
         b = gl.axiom_suite(gl.abs_scaled(0.5), full8, trials=50, seed=9)
         assert all(a.checks[k].worst == b.checks[k].worst for k in a.checks)
+
+
+class TestAxiomSuiteSummary:
+    def test_failing_suite_names_each_check(self, full3):
+        # concave, labelled convex: concavity fails on every trial
+        concave = Driver("concave", lambda t, z: -np.square(np.asarray(z, dtype=float)) / 2.0,
+                         lipschitz=4.0, convex=True, validity_radius=4.0)
+        report = gl.axiom_suite(concave, full3, trials=20, seed=0, claim_bound=0.5)
+        head, *rows = report.summary().splitlines()
+        assert head == "axiom suite for concave: FAIL (20 trials)"
+        assert [row.split()[0] for row in rows] == list(report.checks)
+        violations = report.checks["concavity"].violations
+        assert violations > 0
+        assert rows[list(report.checks).index("concavity")].split()[1] == f"violations={violations}"

@@ -387,3 +387,23 @@ class TestInverseFenchelCoarseGrid:
         direct = [gl.grid_sup_of_linear_minus(evaluate, t, zs, 1.5) for t in (0.0, 0.5)]
         assert first.tobytes() == again.tobytes() == back.tobytes() == direct[0].tobytes()
         assert later.tobytes() == direct[1].tobytes()
+
+
+class TestMonotoneFamilyCounterexamples:
+    def test_drifting_integrand_breaks_every_order(self):
+        # each call adds one to the values, so no two evaluations of a level agree
+        calls = []
+
+        def drifting(t, q):
+            calls.append(None)
+            return np.square(np.asarray(q, dtype=float)) / 2.0 + (len(calls) - 1)
+
+        f = PenaltyIntegrand("drifting", drifting, math.inf, zero_at_origin=False)
+        report = gl.monotone_family_check(f, [1.0, 2.0])
+        assert not (report.integrand_decreasing or report.conjugates_increasing
+                    or report.infimum_recovers or report.passed)
+        assert report.worst_conjugate_violation > conjugate.FAMILY_TOLERANCE
+        assert [c[0] for c in report.counterexamples] == ["integrand_order", "conjugate_order",
+                                                          "infimum"]
+        # level 1's first point, -1, scored by the first and the second call
+        assert report.counterexamples[0] == ("integrand_order", 1.0, -1.0, 0.5, 1.5)

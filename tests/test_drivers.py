@@ -89,3 +89,9 @@ class TestProbes:
         z = rng.uniform(-3, 3, 100)
         lam = rng.uniform(0.1, 5.0, 100)
         assert np.allclose(drv(0.0, lam * z), lam * np.asarray(drv(0.0, z)), atol=1e-12)
+
+
+def test_interval_subgradient_picks_the_active_end():
+    drv = gl.interval(-0.2, 0.7)
+    assert np.array_equal(drv.subgradient(0.0, np.array([-3.0, -1e-12, 0.0, 2.0])),
+                          [-0.2, -0.2, 0.0, 0.7])
