@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -32,11 +33,13 @@ class DualSolution:
     `clamped[k]` marks step-k nodes where the discrete admissibility bound
     |q| < (1 - margin)/sqrt(dt) restricted the minimiser; the continuous-time
     representation has no such bound, so clamping is surfaced, not hidden.
+    `dual_utility` keeps the flags packed eight to a byte and unpacks a step
+    when it is read.
     """
 
     u: AdaptedField
     argmin_control: PredictableControl
-    clamped: list[np.ndarray]
+    clamped: Sequence[np.ndarray]
     integrand: PenaltyIntegrand
 
     @property
@@ -131,8 +134,15 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
     sweep's q; beyond the claim it is the zero drift.
     """
     lattice = terminal.lattice
-    flags: list[np.ndarray] = []  # clamp flags, step start-1 first
-    step = dual_step(integrand, lattice, lambda k, q, clamp: flags.append(clamp))
+    # the clamp flags of every step in one buffer, eight to a byte, step k from offsets[k]
+    offsets = list(accumulate(((lattice.node_count(k) + 7) // 8 for k in range(terminal.start)),
+                              initial=0))
+    packed = np.empty(offsets[-1], dtype=np.uint8)
+
+    def record(k: int, q: np.ndarray, clamp: np.ndarray) -> None:
+        packed[offsets[k]:offsets[k + 1]] = np.packbits(clamp)
+
+    step = dual_step(integrand, lattice, record)
     us = [u for _, u in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
     u = AdaptedField(lattice, us[::-1], start=0)
     minimize = _step_minimizer(integrand, lattice)
@@ -142,11 +152,15 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
             return np.zeros(lattice.node_count(k))
         return minimize(k, lattice.increment(*lattice.child_values(u[k + 1])))[0]
 
+    def clamped(k: int) -> np.ndarray:
+        nodes = lattice.node_count(k)
+        if k >= terminal.start:
+            return np.zeros(nodes, dtype=bool)
+        return np.unpackbits(packed[offsets[k]:offsets[k + 1]], count=nodes).view(bool)
+
     return DualSolution(
         u=u, argmin_control=PredictableControl(lattice, _LazySteps(lattice.steps, control)),
-        clamped=flags[::-1] + [np.zeros(lattice.node_count(k), dtype=bool)
-                               for k in range(terminal.start, lattice.steps)],
-        integrand=integrand,
+        clamped=_LazySteps(lattice.steps, clamped), integrand=integrand,
     )
 
 

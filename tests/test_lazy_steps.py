@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import glattice as gl
-from glattice import dual
+from glattice import bsde, dual, penalty
 from glattice.lattice import _LazySteps, node_total
 
 TOPOLOGIES = [(gl.TreeTopology.RECOMBINING, 12), (gl.TreeTopology.FULL_BINARY, 7)]
@@ -182,3 +182,157 @@ class TestInterleavedReads:
             steps[5]
         with pytest.raises(IndexError):
             steps[-6]
+
+
+# -- checkpointed sweeps: solutions and penalty fields --------------------------------------
+
+DRIVERS = {"entropic": gl.parse_spec("entropic:1"), "abs": gl.abs_scaled(0.5)}
+SOLVERS = {"solve": (gl.solve, 1.0), "utility_solution": (gl.utility_solution, -1.0)}
+
+
+def stored_sweep(lat, start, values, step):
+    """Every step of a backward sweep, collected, step 0 first."""
+    return [v for _, v in lat.sweep(start, values.copy(), step)][::-1]
+
+
+def read_order(order: str, steps: int) -> list[int]:
+    """Indices into a per-step list of `steps` items: in turn, in reverse, or 4x at random."""
+    if order == "forward":
+        return list(range(steps))
+    if order == "backward":
+        return list(range(steps))[::-1]
+    return [int(k) for k in np.random.default_rng(steps).integers(-steps, steps, size=4 * steps)]
+
+
+class TestCheckpointedSolutions:
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    @pytest.mark.parametrize("topology,steps", TOPOLOGIES + [(gl.TreeTopology.RECOMBINING, 40)])
+    @pytest.mark.parametrize("terminal", ["horizon", "inner"])
+    @pytest.mark.parametrize("order", ["forward", "backward", "random"])
+    def test_y_and_z_are_bitwise_the_stored_sweep(self, solver, driver, topology, steps,
+                                                  terminal, order):
+        lat = gl.build_grid(1.0, steps, topology)
+        start = steps if terminal == "horizon" else steps - 3
+        claim = claim_at(lat, start, lambda x: 2.0 * np.sin(3.0 * x) + np.maximum(x, 0.0))
+        solve, sign = SOLVERS[solver]
+        ys = stored_sweep(lat, start, claim[start], bsde.driver_step(DRIVERS[driver], lat, sign))
+        zs = [lat.increment(*lat.child_values(ys[k + 1])) for k in range(start)]
+        sol = solve(DRIVERS[driver], claim)
+        assert (sol.y.start, sol.y.stop, sol.z.stop) == (0, start, start - 1)
+        for k in read_order(order, start + 1):
+            assert same_bits(sol.y.values[k], ys[k]), k
+        for k in read_order(order, start):
+            assert same_bits(sol.z.values[k], zs[k]), k
+        assert_steps_equal(sol.y.values, ys)
+
+    def test_a_write_into_a_read_step_raises(self):
+        lat = gl.build_grid(1.0, 20)
+        sol = gl.utility_solution(DRIVERS["entropic"], gl.terminal_field(lat, np.abs))
+        before = [v.copy() for v in sol.y.values]
+        for k in (0, 3, 16, 19, 20):  # kept every 4th step and the terminal; swept again between
+            values = sol.y[k]
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+            with pytest.raises(ValueError):
+                values += 1.0
+        assert_steps_equal(sol.y.values, before)
+
+    def test_errors_come_from_the_first_sweep(self):
+        lat = gl.build_grid(1.0, 16)
+        steep = gl.terminal_field(lat, lambda x: 40.0 * np.maximum(x, 0.0))
+        with pytest.raises(gl.ValidityRadiusError) as swept:
+            gl.utility_solution(DRIVERS["entropic"], steep)
+        with pytest.raises(gl.ValidityRadiusError) as root_only:
+            gl.utility(DRIVERS["entropic"], steep, 0)
+        assert str(swept.value) == str(root_only.value)
+        nan_at_9 = gl.Driver("nan_at_9", lambda t, z: np.where(t == lat.grid.time(9), np.nan, 0.0),
+                             None, True)
+        with pytest.raises(ValueError, match=r"NaN at node\(step=9, index=0\)"):
+            gl.solve(nan_at_9, gl.terminal_field(lat, np.abs))
+
+    def test_utility_solution_holds_under_an_eighth_of_a_field(self):
+        lat = gl.build_grid(1.0, 1024)
+        claim = gl.terminal_field(lat, lambda x: np.maximum(x - 0.2, 0.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = gl.utility_solution(DRIVERS["entropic"], claim)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        field = 8 * node_total(lat.topology, lat.steps)  # 4.2 MB stored
+        # 33 kept steps, about 0.14 MB
+        assert held < field / 8, held
+        assert float(sol.y[0][0]) == float(gl.utility(DRIVERS["entropic"], claim, 0)[0][0])
+
+    def test_dual_holds_a_field_and_its_flags_packed(self):
+        lat = gl.build_grid(1.0, 4096)
+        claim = gl.terminal_field(lat, lambda x: np.maximum(x - 0.2, 0.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = gl.dual_utility(INTEGRANDS["entropic"], claim)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        nodes = node_total(lat.topology, lat.steps)
+        # u's data, its 4097 array headers (0.06 bytes a node) and one bit a node of flags;
+        # one bool a node took a whole byte
+        assert held < 8 * nodes + nodes / 4, held
+        assert sol.clamped[0].dtype == bool and not sol.any_clamped
+
+
+class TestCheckpointedPenaltyFields:
+    @staticmethod
+    def setting(topology, steps):
+        lat = gl.build_grid(1.0, steps, topology)
+        control = gl.PredictableControl.from_state_function(lat, lambda t, x: 0.3 + 0.5 * x)
+        return lat, gl.density_from_control(control), INTEGRANDS["entropic"]
+
+    @pytest.mark.parametrize("topology,steps", TOPOLOGIES + [(gl.TreeTopology.RECOMBINING, 40)])
+    @pytest.mark.parametrize("order", ["forward", "backward", "random"])
+    def test_penalty_formula_values_are_the_window_sweep(self, topology, steps, order):
+        lat, measure, f = self.setting(topology, steps)
+        for start, stop in ((0, steps), (2, steps - 3), (1, 1)):
+            inside = [start <= k < stop for k in range(steps)]
+            swept = stored_sweep(lat, steps, np.zeros(lat.node_count(steps)),
+                                 penalty._window_step(penalty._integrand_at(f, measure.control),
+                                                      measure, inside))[start:stop + 1]
+            field = gl.penalty_formula(f, measure, start, stop)
+            assert field.initial() == float(swept[0][0])
+            for i in read_order(order, stop + 1 - start):
+                assert same_bits(field.values.values[i], swept[i]), (start, stop, i)
+            assert same_bits(field.at(stop), np.zeros(lat.node_count(stop)))
+
+    @pytest.mark.parametrize("topology,steps", TOPOLOGIES)
+    def test_window_process_is_the_window_sweep_and_read_only(self, topology, steps):
+        lat, measure, f = self.setting(topology, steps)
+        sigma = gl.hitting_time(lat, [np.abs(lat.level_values(k)) >= 0.5 for k in range(steps + 1)])
+        tau = gl.StoppingTime.deterministic(lat, steps - 2)
+        process = gl.window_penalty_process(f, measure, sigma, sigma.maximum(tau))
+        swept = stored_sweep(lat, steps, np.zeros(lat.node_count(steps)),
+                             penalty._window_step(penalty._integrand_at(f, measure.control), measure,
+                                                  gl.between_masks(sigma, sigma.maximum(tau))))
+        for k in read_order("random", steps + 1):
+            assert same_bits(process.values[k], swept[k]), k
+        with pytest.raises(ValueError):
+            process[1][0] = 1.0
+
+
+class TestTruncationHoldsNoCostField:
+    def test_a_deterministic_control_on_the_recombining_tree(self):
+        lat = gl.build_grid(1.0, 1024)
+        f = INTEGRANDS["entropic"]
+        control = gl.PredictableControl.constant(lat, 0.3)
+        tracemalloc.start()
+        try:
+            report = gl.truncation_convergence(f, control, [0.01, 0.02])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field = 8 * node_total(lat.topology, lat.steps)
+        # each gated and stopped control is one stored field (`PredictableControl.map`);
+        # a stored f(t, q) of the control was a second
+        assert peak < 1.5 * field, peak
+        assert report.passed and not report.stopping_skipped
