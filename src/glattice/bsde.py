@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .drivers import Driver, abs_scaled
-from .lattice import (AdaptedField, Lattice, NodeId, TreeTopology, _LazySteps, _SweptSteps,
+from .lattice import (AdaptedField, Lattice, NodeId, TreeTopology, _LazySteps, _swept_steps,
                       _trial_blocks, field_max, node_total)
 
 UtilityOperator = Callable[[AdaptedField, int], AdaptedField]
@@ -41,7 +41,7 @@ class BsdeSolution:
     At every node y_k = (y_up + y_down)/2 + s g(t_k, s z_k) dt with
     z_k = (y_up - y_down) / (2 sqrt(dt)), s = +1 for `solve` and s = -1 for
     `utility_solution`; the terminal step reproduces the claim.  `solve` and
-    `utility_solution` keep y at checkpoints (`lattice._SweptSteps`) and
+    `utility_solution` keep y at checkpoints (`lattice._swept_steps`) and
     sweep a step again when it is read; every array of y is read-only.
     """
 
@@ -83,8 +83,8 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
 
 def _solution(driver: Driver, terminal: AdaptedField, sign: float) -> BsdeSolution:
     lattice = terminal.lattice
-    ys = _SweptSteps(lattice, terminal.start, terminal.bounded_values().copy(),
-                     driver_step(driver, lattice, sign))
+    ys = _swept_steps(lattice, terminal.start, terminal.bounded_values().copy(),
+                      driver_step(driver, lattice, sign))
     return BsdeSolution(y=AdaptedField(lattice, ys, start=0), driver=driver)
 
 

@@ -240,67 +240,53 @@ class _LazySteps(Sequence):
         return self._steps
 
     def __getitem__(self, step):
-        k = range(self._steps)[step]  # a negative step counts from the end, a slice is a range
-        if isinstance(k, range):
-            return [self[j] for j in k]
-        return self._read(k)
-
-    def _read(self, k: int) -> np.ndarray:
         cached, values = self._latest
-        if k != cached:
+        if step != cached:
+            k = range(self._steps)[step]  # a negative step counts from the end, a slice is a range
+            if isinstance(k, range):
+                return [self[j] for j in k]
             values = self._compute(k)
             self._latest = (k, values)
         return values
 
 
-class _SweptSteps(_LazySteps):
-    """Steps bottom..top of the backward `Lattice.sweep` from `values` at `top`, checkpointed.
+def _swept_steps(lattice: Lattice, top: int, values: np.ndarray,
+                 step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> _LazySteps:
+    """Steps 0..top of the backward `Lattice.sweep` from `values` at `top`, checkpointed.
 
     The sweep runs once here, so a NaN or a step's own error raises from this
-    call, and keeps step `top` and every ⌊√(top - bottom)⌋-th step above
-    `bottom`: O(N^1.5) nodes on the recombining tree instead of O(N^2).  A
-    read of any other step re-sweeps, with the same `step`, from the kept
-    step above it down to its segment's lowest step, and keeps that segment
-    as the latest, swapped as one tuple; so reading every step in either
-    order re-sweeps once in all.  Item i is step bottom + i, and every array
+    call, and keeps step `top` and every ⌊√top⌋-th step: O(N^1.5) nodes on
+    the recombining tree instead of O(N^2).  A read of any other step sweeps
+    again, with the same `step`, from the kept step above it down to its
+    segment's lowest step, and keeps that segment, swapped as one tuple; so
+    reading every step in either order sweeps once more in all.  Every array
     it returns is read-only.  `step` must be deterministic.
     """
+    stride = max(1, math.isqrt(top))
+    kept = {}
+    for k, v in lattice.sweep(top, values, step):
+        if k % stride == 0 or k == top:
+            v.flags.writeable = False
+            kept[k] = v
+    segment = (range(0), ())  # the steps last swept again, and their values
 
-    __slots__ = ("_kept",)
-
-    def __init__(self, lattice: Lattice, top: int, values: np.ndarray,
-                 step: Callable[[int, np.ndarray, np.ndarray], np.ndarray], bottom: int = 0):
-        stride = max(1, math.isqrt(top - bottom))
-        kept = {}
-        for k, v in lattice.sweep(top, values, step):
-            if (k - bottom) % stride == 0 or k == top:
-                v.flags.writeable = False
-                kept[k - bottom] = v
-            if k == bottom:
-                break
-
-        def segment(i: int) -> tuple[range, tuple[np.ndarray, ...]]:
-            lowest = i - i % stride + 1
-            above = min(lowest - 1 + stride, top - bottom)
-            sweep = lattice.sweep(bottom + above, kept[above], step)
+    def read(k: int) -> np.ndarray:
+        nonlocal segment
+        if k in kept:
+            return kept[k]
+        steps, swept = segment
+        if k not in steps:
+            lowest = k - k % stride + 1
+            above = min(lowest - 1 + stride, top)
+            sweep = lattice.sweep(above, kept[above], step)
             next(sweep)  # the kept step itself
-            swept = tuple(v for _, (_, v) in zip(range(lowest, above), sweep))
+            swept = tuple(v for _, (_, v) in zip(range(lowest, above), sweep))[::-1]
             for v in swept:
                 v.flags.writeable = False
-            return range(lowest, above), swept[::-1]
+            steps, swept = segment = (range(lowest, above), swept)
+        return swept[k - steps.start]
 
-        super().__init__(top - bottom + 1, segment)
-        self._kept = kept
-        self._latest = (range(0), ())
-
-    def _read(self, i: int) -> np.ndarray:
-        kept = self._kept.get(i)
-        if kept is not None:
-            return kept
-        steps, swept = self._latest
-        if i not in steps:
-            steps, swept = self._latest = self._compute(i)
-        return swept[i - steps.start]
+    return _LazySteps(top + 1, read)
 
 
 def _trial_blocks(trials: int, nodes_per_trial: int) -> Iterator[range]:

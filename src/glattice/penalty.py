@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .lattice import (
     StoppingTime,
     TreeTopology,
     _LazySteps,
-    _SweptSteps,
     _trial_blocks,
     hitting_time,
     node_total,
@@ -53,37 +53,19 @@ def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableContro
     return list(_integrand_at(integrand, control))
 
 
-def _integrand_at(integrand: PenaltyIntegrand, control: PredictableControl,
-                  firsts: np.ndarray | None = None) -> _LazySteps:
-    """`integrand_on_control`, each step evaluated when it is read (into `firsts[k]`, its first value)."""
+def _integrand_at(integrand: PenaltyIntegrand, control: PredictableControl) -> _LazySteps:
+    """`integrand_on_control`, each step evaluated when it is read."""
     time = control.lattice.grid.time
-
-    def evaluate(k: int) -> np.ndarray:
-        fq = np.asarray(integrand(time(k), control[k]), dtype=float)
-        if firsts is not None:
-            firsts[k] = fq[:1]
-        return fq
-
-    return _LazySteps(control.lattice.steps, evaluate)
+    return _LazySteps(control.lattice.steps,
+                      lambda k: np.asarray(integrand(time(k), control[k]), dtype=float))
 
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
                            sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
-    """The value process R of the window ]]sigma, tau]], checkpointed; R at sigma is the penalty."""
-    lat = measure.lattice
-    step = _window_step(_integrand_at(integrand, measure.control), measure, between_masks(sigma, tau))
-    return AdaptedField(lat, _SweptSteps(lat, lat.steps, np.zeros(lat.node_count(lat.steps)), step))
-
-
-def _window_step(cost: Sequence[np.ndarray], measure: MeasureChange, inside: Sequence):
-    """The step of `_window_sweep`, R_k = 1_inside f(t_k, q_k) dt + E_Q[R_{k+1} | F_k]."""
-    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        charge = cost[k] * measure.lattice.dt
-        if inside[k] is not True:  # a step wholly inside the window keeps its charge as is
-            charge = np.where(inside[k], charge, 0.0)
-        return charge + measure.one_step_expectation(k, down, up)
-
-    return step
+    """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
+    sweep = _window_sweep(_integrand_at(integrand, measure.control), measure,
+                          between_masks(sigma, tau))
+    return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
 
 
 def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
@@ -95,31 +77,38 @@ def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
     Masks stacked on a leading axis sweep one window per row.
     """
     lat = measure.lattice
+
+    def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+        charge = cost[k] * lat.dt
+        if inside[k] is not True:  # a step wholly inside the window keeps its charge as is
+            charge = np.where(inside[k], charge, 0.0)
+        return charge + measure.one_step_expectation(k, down, up)
+
     rows = np.shape(inside[lat.steps - 1])[:-1]  # () for a bool or one mask a step
-    return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))),
-                     _window_step(cost, measure, inside))
+    return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))), step)
 
 
 class PenaltyField:
     """Penalty values c_{k,t}(Q) for k = s..t, nonnegative and zero at the right endpoint.
 
-    Holds the root c_{s,t}; the first read of `values` or `at` sweeps steps
-    t..s again with the window's `step` from c_t = 0 (beyond t the window
-    charges nothing), and keeps them at checkpoints (`lattice._SweptSteps`).
+    Holds the root c_{s,t}; the values of steps s..t are swept again from
+    `sweep` (a fresh window sweep of steps N .. 0) the first time `values`
+    or `at` reads them, and kept from then on.
     """
 
-    def __init__(self, lattice: Lattice, start: int, stop: int, root: float, step):
+    def __init__(self, lattice: Lattice, start: int, stop: int, root: float,
+                 sweep: Callable[[], Iterator[tuple[int, np.ndarray]]]):
         self.start = start
         self.stop = stop
         self._lattice = lattice
         self._root = root
-        self._step = step
+        self._sweep = sweep
 
     @cached_property
     def values(self) -> AdaptedField:
-        lat = self._lattice
-        swept = _SweptSteps(lat, self.stop, np.zeros(lat.node_count(self.stop)), self._step, self.start)
-        return AdaptedField(lat, swept, start=self.start)
+        n = self._lattice.steps
+        window = islice(self._sweep(), n - self.stop, n - self.start + 1)
+        return AdaptedField(self._lattice, [v for _, v in window][::-1], start=self.start)
 
     def at(self, step: int) -> np.ndarray:
         return self.values[step]
@@ -139,11 +128,13 @@ def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    step = _window_step(_integrand_at(integrand, measure.control), measure,
-                        [start <= k < stop for k in range(lat.steps)])
-    sweep = lat.sweep(stop, np.zeros(lat.node_count(stop)), step)  # R is 0 from stop on
-    root = float(next(v for k, v in sweep if k == start)[0])
-    return PenaltyField(lat, start, stop, root, step)
+    inside = [start <= k < stop for k in range(lat.steps)]
+
+    def sweep() -> Iterator[tuple[int, np.ndarray]]:
+        return _window_sweep(_integrand_at(integrand, measure.control), measure, inside)
+
+    root = float(next(v for k, v in sweep() if k == start)[0])
+    return PenaltyField(lat, start, stop, root, sweep)
 
 
 def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
@@ -219,19 +210,26 @@ def _pathwise_cost(control: PredictableControl) -> bool:
 
 def _cost_steps(integrand: PenaltyIntegrand,
                 control: PredictableControl) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
-    """f(t_k, q_k) for a window sweep, and what `_accumulate` reads of it.
+    """f(t_k, q_k) for a window sweep, and what `_accumulate` reads of it once that sweep has run.
 
     Stored on the full binary tree.  The recombining tree takes a pathwise
     cost only for a deterministic control, of which `_accumulate` reads each
     step's first value: there a step is evaluated when it is read and only
-    that value is kept, so a check holds no field, and a sweep that reads
-    every step first leaves `_accumulate` nothing to evaluate again.
+    that value is kept, so a check holds no field.  A step not yet read stays
+    NaN, which `_accumulate` refuses as an infinite cost.
     """
-    if control.lattice.topology is TreeTopology.FULL_BINARY:
+    lat = control.lattice
+    if lat.topology is TreeTopology.FULL_BINARY:
         fq = integrand_on_control(integrand, control)
         return fq, fq
-    firsts = np.empty((control.lattice.steps, 1))  # one row a step
-    return _integrand_at(integrand, control, firsts), firsts
+    evaluate = _integrand_at(integrand, control)
+    firsts = np.full((lat.steps, 1), np.nan)  # one row a step
+
+    def read(k: int) -> np.ndarray:
+        firsts[k] = evaluate[k][:1]
+        return evaluate[k]
+
+    return _LazySteps(lat.steps, read), firsts
 
 
 def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> IncreasingProcess:
@@ -483,7 +481,7 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
         return float(next(v for k, v in sweep if k == 0)[0])
 
     fq, fq_read = _cost_steps(integrand, control)
-    full_value = root_penalty(control, fq)
+    full_value = root_penalty(control, fq)  # reads every step of fq, which fills fq_read
     gated_values = tuple(root_penalty(truncate_control(control, n)) for n in levels)
     monotone = all(b >= a - bsde.TOL_IDENTITY for a, b in zip(gated_values, gated_values[1:]))
     max_control = control.max_abs()

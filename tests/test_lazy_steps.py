@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import glattice as gl
-from glattice import bsde, dual, penalty
+from glattice import bsde, dual
 from glattice.lattice import _LazySteps, node_total
 
 TOPOLOGIES = [(gl.TreeTopology.RECOMBINING, 12), (gl.TreeTopology.FULL_BINARY, 7)]
@@ -184,7 +184,7 @@ class TestInterleavedReads:
             steps[-6]
 
 
-# -- checkpointed sweeps: solutions and penalty fields --------------------------------------
+# -- checkpointed sweeps: solution fields --------------------------------------------------
 
 DRIVERS = {"entropic": gl.parse_spec("entropic:1"), "abs": gl.abs_scaled(0.5)}
 SOLVERS = {"solve": (gl.solve, 1.0), "utility_solution": (gl.utility_solution, -1.0)}
@@ -281,43 +281,6 @@ class TestCheckpointedSolutions:
         # one bool a node took a whole byte
         assert held < 8 * nodes + nodes / 4, held
         assert sol.clamped[0].dtype == bool and not sol.any_clamped
-
-
-class TestCheckpointedPenaltyFields:
-    @staticmethod
-    def setting(topology, steps):
-        lat = gl.build_grid(1.0, steps, topology)
-        control = gl.PredictableControl.from_state_function(lat, lambda t, x: 0.3 + 0.5 * x)
-        return lat, gl.density_from_control(control), INTEGRANDS["entropic"]
-
-    @pytest.mark.parametrize("topology,steps", TOPOLOGIES + [(gl.TreeTopology.RECOMBINING, 40)])
-    @pytest.mark.parametrize("order", ["forward", "backward", "random"])
-    def test_penalty_formula_values_are_the_window_sweep(self, topology, steps, order):
-        lat, measure, f = self.setting(topology, steps)
-        for start, stop in ((0, steps), (2, steps - 3), (1, 1)):
-            inside = [start <= k < stop for k in range(steps)]
-            swept = stored_sweep(lat, steps, np.zeros(lat.node_count(steps)),
-                                 penalty._window_step(penalty._integrand_at(f, measure.control),
-                                                      measure, inside))[start:stop + 1]
-            field = gl.penalty_formula(f, measure, start, stop)
-            assert field.initial() == float(swept[0][0])
-            for i in read_order(order, stop + 1 - start):
-                assert same_bits(field.values.values[i], swept[i]), (start, stop, i)
-            assert same_bits(field.at(stop), np.zeros(lat.node_count(stop)))
-
-    @pytest.mark.parametrize("topology,steps", TOPOLOGIES)
-    def test_window_process_is_the_window_sweep_and_read_only(self, topology, steps):
-        lat, measure, f = self.setting(topology, steps)
-        sigma = gl.hitting_time(lat, [np.abs(lat.level_values(k)) >= 0.5 for k in range(steps + 1)])
-        tau = gl.StoppingTime.deterministic(lat, steps - 2)
-        process = gl.window_penalty_process(f, measure, sigma, sigma.maximum(tau))
-        swept = stored_sweep(lat, steps, np.zeros(lat.node_count(steps)),
-                             penalty._window_step(penalty._integrand_at(f, measure.control), measure,
-                                                  gl.between_masks(sigma, sigma.maximum(tau))))
-        for k in read_order("random", steps + 1):
-            assert same_bits(process.values[k], swept[k]), k
-        with pytest.raises(ValueError):
-            process[1][0] = 1.0
 
 
 class TestTruncationHoldsNoCostField:
