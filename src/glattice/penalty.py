@@ -50,14 +50,29 @@ from .measure import (
 
 def integrand_on_control(integrand: PenaltyIntegrand, control: PredictableControl) -> list[np.ndarray]:
     """f(t_k, q_k) per node, with +inf wherever the control leaves the domain."""
-    return list(_integrand_at(integrand, control))
+    return [_integrand_step(integrand, control, k) for k in range(control.lattice.steps)]
 
 
-def _integrand_at(integrand: PenaltyIntegrand, control: PredictableControl) -> _LazySteps:
-    """`integrand_on_control`, each step evaluated when it is read."""
-    time = control.lattice.grid.time
-    return _LazySteps(control.lattice.steps,
-                      lambda k: np.asarray(integrand(time(k), control[k]), dtype=float))
+def _integrand_at(integrand: PenaltyIntegrand, control: PredictableControl) -> Sequence[np.ndarray]:
+    """f(t_k, q_k) as the window sweeps and `_accumulate` read it, one array a step.
+
+    A deterministic control costs one value a step, f at the step's first
+    node, which a sweep broadcasts over the step.  Any other control is
+    stored per node on the full binary tree, where all steps together hold
+    twice the last one, and evaluated when read on the recombining tree.
+    """
+    steps = control.lattice.steps
+    if control.is_deterministic():
+        return [_integrand_step(integrand, control, k, slice(1)) for k in range(steps)]
+    if control.lattice.topology is TreeTopology.FULL_BINARY:
+        return integrand_on_control(integrand, control)
+    return _LazySteps(steps, lambda k: _integrand_step(integrand, control, k))
+
+
+def _integrand_step(integrand: PenaltyIntegrand, control: PredictableControl, k: int,
+                    nodes: slice = slice(None)) -> np.ndarray:
+    """f(t_k, q_k) on the step-k nodes that `nodes` selects; `evaluate` is elementwise."""
+    return np.asarray(integrand(control.lattice.grid.time(k), control[k][nodes]), dtype=float)
 
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
@@ -200,36 +215,12 @@ def accumulated_cost(integrand: PenaltyIntegrand, control: PredictableControl) -
     The cumulative sum is a path functional, so it lives on the full binary
     tree; on the recombining tree it exists only for deterministic controls.
     """
-    return _accumulate(integrand_on_control(integrand, control), control)
+    return _accumulate(_integrand_at(integrand, control), control)
 
 
 def _pathwise_cost(control: PredictableControl) -> bool:
     """Whether the accumulated cost A is a node field: full binary tree or deterministic control."""
     return control.lattice.topology is TreeTopology.FULL_BINARY or control.is_deterministic()
-
-
-def _cost_steps(integrand: PenaltyIntegrand,
-                control: PredictableControl) -> tuple[Sequence[np.ndarray], Sequence[np.ndarray]]:
-    """f(t_k, q_k) for a window sweep, and what `_accumulate` reads of it once that sweep has run.
-
-    Stored on the full binary tree.  The recombining tree takes a pathwise
-    cost only for a deterministic control, of which `_accumulate` reads each
-    step's first value: there a step is evaluated when it is read and only
-    that value is kept, so a check holds no field.  A step not yet read stays
-    NaN, which `_accumulate` refuses as an infinite cost.
-    """
-    lat = control.lattice
-    if lat.topology is TreeTopology.FULL_BINARY:
-        fq = integrand_on_control(integrand, control)
-        return fq, fq
-    evaluate = _integrand_at(integrand, control)
-    firsts = np.full((lat.steps, 1), np.nan)  # one row a step
-
-    def read(k: int) -> np.ndarray:
-        firsts[k] = evaluate[k][:1]
-        return evaluate[k]
-
-    return _LazySteps(lat.steps, read), firsts
 
 
 def _accumulate(fq: Sequence[np.ndarray], control: PredictableControl) -> IncreasingProcess:
@@ -270,7 +261,7 @@ def doob_decomposition(integrand: PenaltyIntegrand, measure: MeasureChange) -> D
     the identity against the penalty process of the full window.
     """
     lat = measure.lattice
-    fq = _cost_steps(integrand, measure.control)[0]
+    fq = _integrand_at(integrand, measure.control)
     acc = _accumulate(fq, measure.control)
     penalty = _window_sweep(fq, measure, [True] * lat.steps)
     expected_tail = lat.sweep(lat.steps, acc.a[lat.steps], measure.one_step_expectation)
@@ -473,15 +464,12 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly increasing")
 
-    whole = [True] * lat.steps
+    def root_penalty(ctrl: PredictableControl) -> float:
+        return penalty_formula(integrand, density_from_control(ctrl), 0, lat.steps).initial()
 
-    def root_penalty(ctrl: PredictableControl, fq: Sequence[np.ndarray] | None = None) -> float:
-        sweep = _window_sweep(_integrand_at(integrand, ctrl) if fq is None else fq,
-                              density_from_control(ctrl), whole)
-        return float(next(v for k, v in sweep if k == 0)[0])
-
-    fq, fq_read = _cost_steps(integrand, control)
-    full_value = root_penalty(control, fq)  # reads every step of fq, which fills fq_read
+    fq = _integrand_at(integrand, control)  # the sweep and `_accumulate` share it
+    sweep = _window_sweep(fq, density_from_control(control), [True] * lat.steps)
+    full_value = float(next(v for k, v in sweep if k == 0)[0])
     gated_values = tuple(root_penalty(truncate_control(control, n)) for n in levels)
     monotone = all(b >= a - bsde.TOL_IDENTITY for a, b in zip(gated_values, gated_values[1:]))
     max_control = control.max_abs()
@@ -493,7 +481,7 @@ def truncation_convergence(integrand: PenaltyIntegrand, control: PredictableCont
     # every node has positive probability, so the root is finite exactly when every f(t, q) is
     skipped = not (math.isfinite(full_value) and _pathwise_cost(control))
     if not skipped:
-        acc = _accumulate(fq_read, control)
+        acc = _accumulate(fq, control)
         max_increment = max(float(np.max(inc)) for inc in acc.increments())
         vals = []
         bound_ok = True
