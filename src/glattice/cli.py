@@ -48,6 +48,7 @@ DEFAULT_TOLERANCES = {
     "final_error": 5e-3,
     "identity": 1e-12,
 }
+BICONJUGATE_TOL = 1e-6  # |g - g**| of the `props` biconjugate row, both conjugates grid sups
 
 
 TABULATE_DEFAULTS = {"q_min": -2.0, "q_max": 2.0, "points": 81, "times": (0.0,)}
@@ -71,7 +72,7 @@ SWEEP_NODE_BUDGET = 10**8
 STREAM_BYTES_PER_NODE = 512
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
-    "supermartingale": 3 * 8 + 6,  # control, f(t, q), one field to spare; 6 stop masks
+    "supermartingale": 4 * 8 + 8,  # f(t, q); a pair draw's step index, |level|, uniforms; 8 masks
     "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f, a spare; 4 masks
     "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
 }
@@ -289,7 +290,15 @@ class ExperimentConfig:
 
 
 def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))  # accurate in the lower tail, where 1 + erf cancels
+
+
+def _log_erfcx(y: float) -> float:
+    """log(e^{y^2} erfc(y)) by its asymptotic series; for y >= 26 the eighth term is below 1e-17."""
+    terms = [1.0]
+    while abs(terms[-1]) > 1e-17:
+        terms.append(-terms[-1] * (2 * len(terms) - 1) / (2.0 * y * y))
+    return math.log(math.fsum(terms)) - math.log(y) - math.log(math.pi) / 2.0
 
 
 def closed_form_reference(config: ExperimentConfig) -> float:
@@ -325,8 +334,10 @@ def closed_form_reference(config: ExperimentConfig) -> float:
             return d.arguments["slope"] * horizon
     if driver_name == "entropic" and claim_name == "abs_brownian":
         gamma = d.arguments["gamma"]
-        return -(math.log(2.0) + gamma**2 * horizon / 2.0
-                 + math.log(_normal_cdf(-gamma * math.sqrt(horizon)))) / gamma
+        tail = _normal_cdf(-gamma * math.sqrt(horizon))
+        if tail >= sys.float_info.min:
+            return -(math.log(2.0) + gamma**2 * horizon / 2.0 + math.log(tail)) / gamma
+        return -_log_erfcx(gamma * math.sqrt(horizon / 2.0)) / gamma  # 2 e^{x^2/2} Phi(-x) = erfcx
     raise ConfigError(f"no closed-form reference registered for driver "
                       f"{config.driver_spec!r} with claim {config.claim_spec!r}")
 
@@ -540,7 +551,7 @@ def cmd_props(config: ExperimentConfig) -> RunReport:
         radius = driver.validity_radius if math.isfinite(driver.validity_radius) else 4.0
         z_grid = np.linspace(-radius, radius, 81)
         gap = biconjugate_gap(driver, z_grid)
-        report.add("biconjugate_gap", driver.name, gap, 0.0, 1e-6, gap <= 1e-6)
+        report.add("biconjugate_gap", driver.name, gap, 0.0, BICONJUGATE_TOL, gap <= BICONJUGATE_TOL)
 
     return report
 

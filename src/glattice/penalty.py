@@ -326,6 +326,7 @@ def _extended_gap(a: np.ndarray, *parts: np.ndarray) -> float:
 # -- primal oracle ----------------------------------------------------------
 
 ORACLE_MAX_STEPS = 4  # full binary steps the oracle enumerates claims on: 2**4 variables
+ORACLE_TOLERANCE = 1e-6  # oracle value against the formula; the ascent stops at gains below 1e-9
 
 
 @dataclass
@@ -588,7 +589,7 @@ class SupermartingaleReport:
     def passed(self) -> bool:
         ok = self.inequality_violations == 0
         if not self.skipped_oracle_part:
-            ok = ok and self.lemma_bound_violations == 0 and self.acceptance_residual <= 1e-12
+            ok = ok and self.lemma_bound_violations == 0 and self.acceptance_residual <= bsde.TOL_IDENTITY
         return ok
 
 
@@ -688,7 +689,7 @@ class UpperBoundReport:
     def passed(self) -> bool:
         ok = self.upper_bound_holds
         if self.equality_gap is not None:
-            ok = ok and self.equality_gap <= 1e-6
+            ok = ok and self.equality_gap <= ORACLE_TOLERANCE
         return ok
 
 
@@ -702,6 +703,6 @@ def upper_bound_check(driver: Driver, control: PredictableControl, *, seed: int 
     measure = density_from_control(control)
     formula = penalty_formula(fenchel(driver), measure, 0, control.lattice.steps).initial()
     oracle = penalty_primal_oracle(driver, measure, seed=seed)
-    holds = oracle.value <= formula + 1e-6
+    holds = oracle.value <= formula + ORACLE_TOLERANCE
     gap = abs(oracle.value - formula) if math.isfinite(formula) else None
     return UpperBoundReport(formula, oracle.value, holds, gap)

@@ -548,3 +548,39 @@ class TestOutputDirectory:
             assert "not writable" in capsys.readouterr().err
         finally:
             locked.chmod(0o755)
+
+
+def entropic_abs_brownian(gamma, horizon=1.0):
+    """-log E[exp(-gamma |W_T|)] / gamma by Gauss-Laguerre quadrature in s = gamma |W_T|."""
+    s, weights = np.polynomial.laguerre.laggauss(120)
+    density = np.exp(-(s / (gamma * math.sqrt(horizon))) ** 2 / 2) / math.sqrt(2 * math.pi * horizon)
+    return -math.log(2.0 / gamma * float(weights @ density)) / gamma
+
+
+class TestSteepEntropicReference:
+    """The entropic `abs_brownian` closed form where Phi(-gamma sqrt(T)) is far in the tail."""
+
+    @pytest.mark.parametrize("gamma", [8.0, 9.0, 20.0, 37.0, 40.0])
+    def test_reference_matches_quadrature(self, gamma):
+        cfg = ExperimentConfig.from_dict({"driver": f"entropic:{gamma:g}", "claim": "abs_brownian"})
+        assert closed_form_reference(cfg) == pytest.approx(entropic_abs_brownian(gamma), rel=1e-9)
+
+    def test_converge_reaches_its_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, driver="entropic:9", claim="abs_brownian",
+                           steps_list=[256, 1024])
+        main(["converge", "--config", cfg])
+        assert "failed:" not in capsys.readouterr().err
+
+
+class TestSupermartingaleBytes:
+    def test_row_covers_what_the_suite_holds(self):
+        cfg = ExperimentConfig.from_dict({"driver": "entropic:1", "suites": ["supermartingale"],
+                                          "trials": 2, "grid": {"horizon": 1.0, "steps": 2048}})
+        tracemalloc.start()
+        try:
+            gl.cli.cmd_props(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 38.6 bytes a node: f(t, q), the pair draw's three node vectors and the masks
+        assert peak / gl.lattice.node_total(cfg.topology, 2048) <= gl.cli.BYTES_PER_NODE["supermartingale"]
