@@ -72,7 +72,7 @@ SWEEP_NODE_BUDGET = 10**8
 STREAM_BYTES_PER_NODE = 512
 # Bytes per grid node of the float64 (8) and bool (1) fields held at once; props: its largest suite
 BYTES_PER_NODE = {
-    "supermartingale": 4 * 8 + 8,  # f(t, q); a pair draw's step index, |level|, uniforms; 8 masks
+    "supermartingale": 5 * 8 + 8,  # f(t, q), a pair draw's 3 node vectors, one to spare; 8 masks
     "truncation": 6 * 8 + 4,  # control, f(t, q), cost; a cut control, its f, a spare; 4 masks
     "pasting": 8 * 8 + 4,  # 4 controls (2 drawn, pasted, restricted), their f(t, q); 4 masks
 }

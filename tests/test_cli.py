@@ -568,7 +568,7 @@ class TestSteepEntropicReference:
     def test_converge_reaches_its_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, driver="entropic:9", claim="abs_brownian",
                            steps_list=[256, 1024])
-        main(["converge", "--config", cfg])
+        assert main(["converge", "--config", cfg]) == 0
         assert "failed:" not in capsys.readouterr().err
 
 
@@ -582,5 +582,5 @@ class TestSupermartingaleBytes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 38.6 bytes a node: f(t, q), the pair draw's three node vectors and the masks
+        # 38.9 bytes a node: f(t, q), the pair draw's three node vectors and the masks
         assert peak / gl.lattice.node_total(cfg.topology, 2048) <= gl.cli.BYTES_PER_NODE["supermartingale"]
