@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +32,6 @@ class DualSolution:
     `clamped[k]` marks step-k nodes where the discrete admissibility bound
     |q| < (1 - margin)/sqrt(dt) restricted the minimiser; the continuous-time
     representation has no such bound, so clamping is surfaced, not hidden.
-    `dual_utility` keeps the flags packed eight to a byte and unpacks a step
-    when it is read.
     """
 
     u: AdaptedField
@@ -130,37 +127,27 @@ def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
 def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
     """Backward min-over-controls recursion for the penalised worst-case value.
 
-    A step of the control read is minimised again from u_{k+1}, bitwise the
-    sweep's q; beyond the claim it is the zero drift.
+    A step of the control or of its clamp flags read is minimised again from
+    u_{k+1}, bitwise the sweep's (q, clamped); beyond the claim it is the
+    zero drift, never clamped.
     """
     lattice = terminal.lattice
-    # the clamp flags of every step in one buffer, eight to a byte, step k from offsets[k]
-    offsets = list(accumulate(((lattice.node_count(k) + 7) // 8 for k in range(terminal.start)),
-                              initial=0))
-    packed = np.empty(offsets[-1], dtype=np.uint8)
-
-    def record(k: int, q: np.ndarray, clamp: np.ndarray) -> None:
-        packed[offsets[k]:offsets[k + 1]] = np.packbits(clamp)
-
-    step = dual_step(integrand, lattice, record)
+    step = dual_step(integrand, lattice)
     us = [u for _, u in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
     u = AdaptedField(lattice, us[::-1], start=0)
     minimize = _step_minimizer(integrand, lattice)
 
-    def control(k: int) -> np.ndarray:
-        if k >= terminal.start:
-            return np.zeros(lattice.node_count(k))
-        return minimize(k, lattice.increment(*lattice.child_values(u[k + 1])))[0]
-
-    def clamped(k: int) -> np.ndarray:
+    def minimizer(k: int) -> tuple[np.ndarray, np.ndarray]:
         nodes = lattice.node_count(k)
         if k >= terminal.start:
-            return np.zeros(nodes, dtype=bool)
-        return np.unpackbits(packed[offsets[k]:offsets[k + 1]], count=nodes).view(bool)
+            return np.zeros(nodes), np.zeros(nodes, dtype=bool)
+        return minimize(k, lattice.increment(*lattice.child_values(u[k + 1])))
 
+    both = _LazySteps(lattice.steps, minimizer)  # the control and its flags share one minimiser
     return DualSolution(
-        u=u, argmin_control=PredictableControl(lattice, _LazySteps(lattice.steps, control)),
-        clamped=_LazySteps(lattice.steps, clamped), integrand=integrand,
+        u=u, argmin_control=PredictableControl(lattice, _LazySteps(lattice.steps,
+                                                                   lambda k: both[k][0])),
+        clamped=_LazySteps(lattice.steps, lambda k: both[k][1]), integrand=integrand,
     )
 
 

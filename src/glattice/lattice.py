@@ -251,42 +251,46 @@ class _LazySteps(Sequence):
 
 
 def _swept_steps(lattice: Lattice, top: int, values: np.ndarray,
-                 step: Callable[[int, np.ndarray, np.ndarray], np.ndarray]) -> _LazySteps:
-    """Steps 0..top of the backward `Lattice.sweep` from `values` at `top`, checkpointed.
+                 step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+                 bottom: int = 0) -> _LazySteps:
+    """Steps bottom..top of the backward `Lattice.sweep` from `values` at `top`, checkpointed.
 
-    The sweep runs once here, so a NaN or a step's own error raises from this
-    call, and keeps step `top` and every ⌊√top⌋-th step: O(N^1.5) nodes on
-    the recombining tree instead of O(N^2).  A read of any other step sweeps
-    again, with the same `step`, from the kept step above it down to its
-    segment's lowest step, and keeps that segment, swapped as one tuple; so
-    reading every step in either order sweeps once more in all.  Every array
-    it returns is read-only.  `step` must be deterministic.
+    Entry j is step bottom + j.  The sweep runs once here, down to `bottom`,
+    so a NaN or a step's own error raises from this call, and keeps step
+    `top` and every ⌊√(top - bottom)⌋-th step from `bottom`: O(N^1.5) nodes
+    on the recombining tree instead of O(N^2).  A read of any other step
+    sweeps again, with the same `step`, from the kept step above it down to
+    its segment's lowest step, and keeps that segment, swapped as one tuple;
+    so reading every step in either order sweeps once more in all.  Every
+    array it returns is read-only.  `step` must be deterministic.
     """
-    stride = max(1, math.isqrt(top))
+    stride = max(1, math.isqrt(top - bottom))
     kept = {}
     for k, v in lattice.sweep(top, values, step):
-        if k % stride == 0 or k == top:
+        if (k - bottom) % stride == 0 or k == top:
             v.flags.writeable = False
-            kept[k] = v
-    segment = (range(0), ())  # the steps last swept again, and their values
+            kept[k - bottom] = v
+        if k == bottom:
+            break
+    segment = (range(0), ())  # the entries last swept again, and their values
 
-    def read(k: int) -> np.ndarray:
+    def read(j: int) -> np.ndarray:
         nonlocal segment
-        if k in kept:
-            return kept[k]
-        steps, swept = segment
-        if k not in steps:
-            lowest = k - k % stride + 1
-            above = min(lowest - 1 + stride, top)
-            sweep = lattice.sweep(above, kept[above], step)
+        if j in kept:
+            return kept[j]
+        entries, swept = segment
+        if j not in entries:
+            lowest = j - j % stride + 1
+            above = min(lowest - 1 + stride, top - bottom)
+            sweep = lattice.sweep(bottom + above, kept[above], step)
             next(sweep)  # the kept step itself
             swept = tuple(v for _, (_, v) in zip(range(lowest, above), sweep))[::-1]
             for v in swept:
                 v.flags.writeable = False
-            steps, swept = segment = (range(lowest, above), swept)
-        return swept[k - steps.start]
+            entries, swept = segment = (range(lowest, above), swept)
+        return swept[j - entries.start]
 
-    return _LazySteps(top + 1, read)
+    return _LazySteps(top - bottom + 1, read)
 
 
 def _trial_blocks(trials: int, nodes_per_trial: int) -> Iterator[range]:
@@ -389,11 +393,12 @@ def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] 
 class PredictableControl:
     """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition."""
 
-    __slots__ = ("lattice", "values")
+    __slots__ = ("lattice", "values", "_deterministic")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray]):
         self.lattice = lattice
         self.values = lattice.per_step(values, 0, lattice.steps - 1)
+        self._deterministic = None
 
     def __getitem__(self, step: int) -> np.ndarray:
         return self.values[step]
@@ -402,8 +407,10 @@ class PredictableControl:
         return field_max(np.abs, self)
 
     def is_deterministic(self) -> bool:
-        """True when every step carries a single value across nodes."""
-        return all(v.size == 1 or float(np.ptp(v)) == 0.0 for v in self.values)
+        """True when every step carries a single value across nodes; scanned on the first call."""
+        if self._deterministic is None:
+            self._deterministic = all(v.size == 1 or float(np.ptp(v)) == 0.0 for v in self.values)
+        return self._deterministic
 
     def map(self, fn: Callable[[int, np.ndarray], np.ndarray]) -> "PredictableControl":
         return PredictableControl(self.lattice, [fn(k, v) for k, v in enumerate(self.values)])

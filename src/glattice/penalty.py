@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from itertools import islice
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ from .lattice import (
     StoppingTime,
     TreeTopology,
     _LazySteps,
+    _swept_steps,
     _trial_blocks,
     hitting_time,
     node_total,
@@ -77,15 +77,20 @@ def _integrand_step(integrand: PenaltyIntegrand, control: PredictableControl, k:
 
 def window_penalty_process(integrand: PenaltyIntegrand, measure: MeasureChange,
                            sigma: StoppingTime, tau: StoppingTime) -> AdaptedField:
-    """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty."""
-    sweep = _window_sweep(_integrand_at(integrand, measure.control), measure,
-                          between_masks(sigma, tau))
-    return AdaptedField(measure.lattice, [v for _, v in sweep][::-1], start=0)
+    """The value process R of the window ]]sigma, tau]]; R at sigma is the penalty.
+
+    Its steps are checkpointed (`lattice._swept_steps`), read-only, and swept again when read.
+    """
+    lat = measure.lattice
+    step = _window_step(_integrand_at(integrand, measure.control), measure,
+                        between_masks(sigma, tau))
+    return AdaptedField(lat, _swept_steps(lat, lat.steps, np.zeros(lat.node_count(lat.steps)),
+                                          step))
 
 
-def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
-                  inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
-    """Lazily (k, R_k) for k = N .. 0, given f(t_k, q_k) per step and the window's indicators.
+def _window_step(cost: Sequence[np.ndarray], measure: MeasureChange,
+                 inside: Sequence) -> Callable[[int, np.ndarray, np.ndarray], np.ndarray]:
+    """The sweep step R_k from R_{k+1}, given f(t_k, q_k) per step and the window's indicators.
 
     `inside[k]` flags the step-k nodes whose transition lies in the window: a
     `between_masks` mask, or one bool per step for a deterministic window.
@@ -99,57 +104,52 @@ def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
             charge = np.where(inside[k], charge, 0.0)
         return charge + measure.one_step_expectation(k, down, up)
 
+    return step
+
+
+def _window_sweep(cost: Sequence[np.ndarray], measure: MeasureChange,
+                  inside: Sequence) -> Iterator[tuple[int, np.ndarray]]:
+    """Lazily (k, R_k) for k = N .. 0, by `_window_step`, for checks that stream the sweep."""
+    lat = measure.lattice
     rows = np.shape(inside[lat.steps - 1])[:-1]  # () for a bool or one mask a step
-    return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))), step)
+    return lat.sweep(lat.steps, np.zeros((*rows, lat.node_count(lat.steps))),
+                     _window_step(cost, measure, inside))
 
 
 class PenaltyField:
     """Penalty values c_{k,t}(Q) for k = s..t, nonnegative and zero at the right endpoint.
 
-    Holds the root c_{s,t}; the values of steps s..t are swept again from
-    `sweep` (a fresh window sweep of steps N .. 0) the first time `values`
-    or `at` reads them, and kept from then on.
+    `values` holds steps s..t of the window's checkpointed sweep (`lattice._swept_steps`).
     """
 
-    def __init__(self, lattice: Lattice, start: int, stop: int, root: float,
-                 sweep: Callable[[], Iterator[tuple[int, np.ndarray]]]):
-        self.start = start
-        self.stop = stop
-        self._lattice = lattice
-        self._root = root
-        self._sweep = sweep
-
-    @cached_property
-    def values(self) -> AdaptedField:
-        n = self._lattice.steps
-        window = islice(self._sweep(), n - self.stop, n - self.start + 1)
-        return AdaptedField(self._lattice, [v for _, v in window][::-1], start=self.start)
+    def __init__(self, values: AdaptedField):
+        self.values = values
+        self.start = values.start
+        self.stop = values.stop
 
     def at(self, step: int) -> np.ndarray:
         return self.values[step]
 
     def initial(self) -> float:
         """The step-s value at the first node; the unconditional penalty when s = 0."""
-        return self._root
+        return float(self.values[self.start][0])
 
 
 def penalty_formula(integrand: PenaltyIntegrand, measure: MeasureChange,
                     start: int, stop: int) -> PenaltyField:
     """Window penalty with deterministic endpoints, as a field of c_{k,stop} values.
 
-    The call sweeps the window once, keeping one step at a time, for the root
-    (a NaN raises here); the whole field is built only when it is read.
+    The call sweeps the window once, from zeros at `stop` down to `start`, so
+    a NaN raises here; the field keeps checkpoints and sweeps a segment again
+    when another step is read.
     """
     lat = measure.lattice
     if not 0 <= start <= stop <= lat.steps:
         raise ValueError(f"need 0 <= start <= stop <= {lat.steps}, got ({start}, {stop})")
-    inside = [start <= k < stop for k in range(lat.steps)]
-
-    def sweep() -> Iterator[tuple[int, np.ndarray]]:
-        return _window_sweep(_integrand_at(integrand, measure.control), measure, inside)
-
-    root = float(next(v for k, v in sweep() if k == start)[0])
-    return PenaltyField(lat, start, stop, root, sweep)
+    step = _window_step(_integrand_at(integrand, measure.control), measure, [True] * lat.steps)
+    return PenaltyField(AdaptedField(
+        lat, _swept_steps(lat, stop, np.zeros(lat.node_count(stop)), step, bottom=start),
+        start=start))
 
 
 def cocycle_residual(integrand: PenaltyIntegrand, measure: MeasureChange,
