@@ -17,7 +17,6 @@ from .lattice import (
     StoppingTime,
     TimeGrid,
     TreeTopology,
-    brownian_level,
     build_grid,
     hitting_time,
     terminal_field,
@@ -28,7 +27,6 @@ from .measure import (
     between_masks,
     density_from_control,
     expectation_under,
-    exponential_density_from_control,
     paste_controls,
     restrict_control,
     stop_control,
@@ -42,8 +40,6 @@ from .drivers import (
     interval,
     linear,
     parse_spec,
-    probe_convex,
-    probe_lipschitz,
     probe_zero,
     zero,
 )
@@ -60,7 +56,6 @@ from .bsde import (
     BsdeSolution,
     ValidityRadiusError,
     axiom_suite,
-    conditional_g_expectation,
     g_expectation,
     make_utility_operator,
     recover_driver,
@@ -75,7 +70,6 @@ from .dual import (
     first_order_optimality,
     monotone_utility_check,
     truncated_utility,
-    worst_case_control,
 )
 from .penalty import (
     IncreasingProcess,

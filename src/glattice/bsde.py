@@ -108,10 +108,6 @@ def g_expectation(driver: Driver, terminal: AdaptedField) -> float:
     return float(_value_at(driver, terminal, 1.0, 0)[0][0])
 
 
-def conditional_g_expectation(driver: Driver, terminal: AdaptedField, step: int) -> AdaptedField:
-    return _value_at(driver, terminal, 1.0, step)
-
-
 def utility_solution(driver: Driver, terminal: AdaptedField) -> BsdeSolution:
     """Concave utility process u = -E_g(-claim | .) over all steps, by the mirrored step."""
     return _solution(driver, terminal, -1.0)

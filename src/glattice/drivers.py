@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,7 +139,7 @@ def interval(lo: float, hi: float) -> Driver:
     """g(z) = max(lo*z, hi*z): support function of [lo, hi], with lo <= 0 <= hi.
 
     The sign constraint keeps g(t, 0) = 0; dropping it would break the
-    normalisation every probe asserts.
+    normalisation `probe_zero` asserts.
     """
     if not (lo <= 0.0 <= hi):
         raise ValueError(f"interval driver needs lo <= 0 <= hi, got [{lo}, {hi}]")
@@ -204,12 +204,10 @@ def parse_spec(text: str) -> Driver:
     return builtin(text)
 
 
-# -- assumption probes ----------------------------------------------------
+# -- normalisation probe --------------------------------------------------
 
 PROBE_TIMES = (0.0, 0.25, 0.5, 1.0)  # where g(t, 0) = 0 is checked
-PROBE_SAMPLES = 2000  # random z pairs per Lipschitz or convexity probe
 ZERO_TOL = 1e-14
-CONVEX_TOL = 1e-12
 
 
 @dataclass
@@ -217,7 +215,7 @@ class ProbeReport:
     name: str
     passed: bool
     worst: float
-    failures: list = field(default_factory=list)
+    failures: list
 
     def __bool__(self):
         return self.passed
@@ -234,39 +232,3 @@ def probe_zero(driver: Driver) -> ProbeReport:
         if abs(val) > ZERO_TOL:
             failures.append((t, val))
     return ProbeReport("zero_at_origin", not failures, worst, failures)
-
-
-def _sample_pairs(driver: Driver, domain_radius: float, count: int, seed: int):
-    """`count` pairs of z drawn uniformly from the box [-domain_radius, domain_radius]^dim."""
-    if domain_radius <= 0:
-        raise ValueError("domain_radius must be positive")
-    rng = np.random.default_rng(seed)
-    shape = (count,) if driver.dim == 1 else (count, driver.dim)
-    return [rng.uniform(-domain_radius, domain_radius, size=shape) for _ in range(2)]
-
-
-def probe_lipschitz(driver: Driver, domain_radius: float, sample_count: int = PROBE_SAMPLES,
-                    seed: int = 0) -> ProbeReport:
-    """Largest sampled difference quotient, compared against the declared constant."""
-    z0, z1 = _sample_pairs(driver, domain_radius, sample_count, seed)
-    gaps = _magnitude(z0 - z1, driver.dim)
-    keep = gaps > 1e-12
-    quotients = np.abs(np.asarray(driver(0.0, z0[keep]), dtype=float)
-                       - np.asarray(driver(0.0, z1[keep]), dtype=float)) / gaps[keep]
-    estimate = float(np.max(quotients)) if quotients.size else 0.0
-    declared = driver.lipschitz
-    passed = declared is not None and estimate <= declared * (1.0 + 1e-9)
-    return ProbeReport("lipschitz", passed, estimate,
-                       [] if passed else [("estimate", estimate, "declared", declared)])
-
-
-def probe_convex(driver: Driver, domain_radius: float, seed: int = 0) -> ProbeReport:
-    """Midpoint convexity on sampled pairs."""
-    z0, z1 = _sample_pairs(driver, domain_radius, PROBE_SAMPLES, seed)
-    mid = np.asarray(driver(0.0, (z0 + z1) / 2.0), dtype=float)
-    avg = (np.asarray(driver(0.0, z0), dtype=float) + np.asarray(driver(0.0, z1), dtype=float)) / 2.0
-    excess = mid - avg
-    worst = float(np.max(excess))
-    bad = np.flatnonzero(excess > CONVEX_TOL)
-    failures = [(z0[i], z1[i], float(excess[i])) for i in bad[:5]]
-    return ProbeReport("convex", worst <= CONVEX_TOL, worst, failures)

@@ -180,11 +180,6 @@ def truncated_utility(integrand: PenaltyIntegrand, terminal: AdaptedField, level
     return dual_utility(truncate_integrand(integrand, level), terminal)
 
 
-def worst_case_control(integrand: PenaltyIntegrand, terminal: AdaptedField) -> PredictableControl:
-    """The minimising drift of the dual recursion (robust-pricing scenario)."""
-    return dual_utility(integrand, terminal).argmin_control
-
-
 @dataclass
 class MonotoneUtilityReport:
     levels: tuple[float, ...]

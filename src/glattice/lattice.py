@@ -138,14 +138,6 @@ class Lattice:
                                  f"got shape {vec.shape}")
         return arrays
 
-    def validate_node(self, node: NodeId) -> None:
-        if not 0 <= node.step <= self.steps:
-            raise ValueError(f"{node}: step outside [0, {self.steps}]")
-        if not 0 <= node.index < self.node_count(node.step):
-            raise ValueError(
-                f"{node}: index outside [0, {self.node_count(node.step)})"
-            )
-
     # -- geometry --------------------------------------------------------
 
     def level_values(self, step: int) -> np.ndarray:
@@ -318,12 +310,6 @@ def field_max(combine: Callable[..., np.ndarray], *fields) -> float:
 def build_grid(horizon: float, steps: int, topology: TreeTopology = TreeTopology.RECOMBINING) -> Lattice:
     """Build the lattice for a uniform grid; errors on empty grids and oversized trees."""
     return Lattice(TimeGrid(horizon, steps), topology)
-
-
-def brownian_level(lattice: Lattice, node: NodeId) -> float:
-    """Value of the random walk at one node; zero at the root by construction."""
-    lattice.validate_node(node)
-    return float(lattice.level_values(node.step)[node.index])
 
 
 class AdaptedField:

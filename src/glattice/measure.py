@@ -98,21 +98,6 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
                                              lambda k: (1.0 + control[k] * sdt) * 0.5))
 
 
-def exponential_density_from_control(control: PredictableControl) -> MeasureChange:
-    """Measure change from the exponential (Doleans-Dade) density, normalised per node.
-
-    Carries an O(dt) drift bias: E_Q[dB | F_k] = sqrt(dt) * tanh(q sqrt(dt))
-    instead of q*dt.  Intended for convergence experiments only; identities
-    exact under the multiplicative form hold only in the dt -> 0 limit here.
-    Not every finite control is admissible: p rounds to 1 once q sqrt(dt)
-    exceeds about 18.4 and to 0 once exp overflows (silently), below about
-    -354.9, and `MeasureChange` raises there as for the multiplicative form.
-    """
-    sdt = control.lattice.sqrt_dt
-    up = np.errstate(over="ignore")(lambda k: 1.0 / (1.0 + np.exp(-2.0 * control[k] * sdt)))
-    return MeasureChange(control, _LazySteps(control.lattice.steps, up))
-
-
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:
     """Iterated one-step conditional expectations of a single-step field.
 
@@ -129,15 +114,15 @@ def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: in
                         start=from_step)
 
 
-def between_masks(sigma: StoppingTime, tau: StoppingTime) -> list[np.ndarray]:
-    """Per-step indicators of the stochastic interval ]]sigma, tau]].
+def between_masks(sigma: StoppingTime, tau: StoppingTime) -> Sequence[np.ndarray]:
+    """Per-step indicators of the stochastic interval ]]sigma, tau]], each computed when read.
 
     The transition over (t_k, t_{k+1}] lies in the interval iff sigma <= k < tau;
     both events are readable off the step-k node, so the masks are predictable.
     """
     if not sigma.is_before(tau):
         raise ValueError("stochastic interval needs sigma <= tau pointwise")
-    return [sigma.reached[k] & ~tau.reached[k] for k in range(sigma.lattice.steps)]
+    return _LazySteps(sigma.lattice.steps, lambda k: sigma.reached[k] & ~tau.reached[k])
 
 
 def paste_controls(first: PredictableControl, second: PredictableControl,

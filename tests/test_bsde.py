@@ -146,7 +146,7 @@ class TestGExpectation:
 
     def test_terminal_step_returns_claim(self, rec8):
         xi = gl.terminal_field(rec8, np.abs)
-        out = gl.conditional_g_expectation(gl.abs_scaled(0.5), xi, 8)
+        out = gl.solve(gl.abs_scaled(0.5), xi).y
         assert np.array_equal(out[8], xi[8])
 
     def test_scaled_abs_brownian_is_worst_drift(self):

@@ -584,3 +584,19 @@ class TestSupermartingaleBytes:
             tracemalloc.stop()
         # 38.9 bytes a node: f(t, q), the pair draw's three node vectors and the masks
         assert peak / gl.lattice.node_total(cfg.topology, 2048) <= gl.cli.BYTES_PER_NODE["supermartingale"]
+
+
+class TestPropsBytes:
+    @pytest.mark.parametrize("suite", ["truncation", "pasting"])
+    def test_row_covers_what_the_suite_holds(self, suite):
+        cfg = ExperimentConfig.from_dict({"driver": "entropic:1", "control": "constant:0.3",
+                                          "levels": [0.01, 0.02], "suites": [suite], "trials": 2,
+                                          "grid": {"horizon": 1.0, "steps": 2048}})
+        tracemalloc.start()
+        try:
+            gl.cli.cmd_props(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 10 bytes a node for truncation (a gated control, stored by `map`), 36.2 for pasting
+        assert peak / gl.lattice.node_total(cfg.topology, 2048) <= gl.cli.BYTES_PER_NODE[suite]

@@ -184,19 +184,19 @@ class TestMonotoneUtility:
 class TestWorstCaseControl:
     def test_box_integrand_hits_lower_endpoint(self):
         lat = gl.build_grid(1.0, 64)
-        q = gl.worst_case_control(box_indicator(0.4), gl.terminal_field(lat, lambda x: x))
+        q = gl.dual_utility(box_indicator(0.4), gl.terminal_field(lat, lambda x: x)).argmin_control
         assert all(np.allclose(v, -0.4, atol=1e-14) for v in q.values)
 
     def test_constant_claim_needs_no_drift(self, rec8):
-        q = gl.worst_case_control(gl.fenchel(gl.entropic(1.0, radius=4.0)),
-                                  gl.AdaptedField.constant(rec8, 1.0, step=8))
+        q = gl.dual_utility(gl.fenchel(gl.entropic(1.0, radius=4.0)),
+                            gl.AdaptedField.constant(rec8, 1.0, step=8)).argmin_control
         assert all(np.all(v == 0.0) for v in q.values)
 
     def test_entropic_brownian_drift_minus_gamma(self):
         lat = gl.build_grid(1.0, 64)
         gamma = 1.0
-        q = gl.worst_case_control(gl.fenchel(gl.entropic(gamma, radius=4.0)),
-                                  gl.terminal_field(lat, lambda x: x))
+        q = gl.dual_utility(gl.fenchel(gl.entropic(gamma, radius=4.0)),
+                            gl.terminal_field(lat, lambda x: x)).argmin_control
         assert all(np.allclose(v, -gamma, atol=1e-10) for v in q.values)
 
     def test_replay_reproduces_dual_value(self, rec64):

@@ -54,20 +54,15 @@ class TestBuildGrid:
 class TestBrownianLevel:
     def test_root_is_zero(self):
         lat = gl.build_grid(1.0, 4)
-        assert gl.brownian_level(lat, gl.NodeId(0, 0)) == 0.0
+        assert lat.level_values(0)[0] == 0.0
 
     def test_all_up_node(self):
         lat = gl.build_grid(1.0, 4)  # dt = 0.25
-        assert gl.brownian_level(lat, gl.NodeId(4, 4)) == pytest.approx(2.0, abs=1e-14)
+        assert lat.level_values(4)[4] == pytest.approx(2.0, abs=1e-14)
 
     def test_one_up_one_down(self):
         lat = gl.build_grid(1.0, 2)
-        assert gl.brownian_level(lat, gl.NodeId(2, 1)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_invalid_node_rejected(self):
-        lat = gl.build_grid(1.0, 4)
-        with pytest.raises(ValueError):
-            gl.brownian_level(lat, gl.NodeId(2, 5))
+        assert lat.level_values(2)[1] == pytest.approx(0.0, abs=1e-14)
 
     @given(steps=st.integers(1, 10), full=st.booleans())
     @settings(max_examples=30)

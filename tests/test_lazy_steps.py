@@ -123,8 +123,6 @@ class TestFromStateFunction:
         assert_steps_equal(control.values, eager)
         assert_steps_equal(gl.density_from_control(control).up_prob,
                            [(1.0 + q * lat.sqrt_dt) / 2.0 for q in eager])
-        assert_steps_equal(gl.exponential_density_from_control(control).up_prob,
-                           [1.0 / (1.0 + np.exp(-2.0 * q * lat.sqrt_dt)) for q in eager])
 
     def test_every_step_checked_once_at_construction(self):
         lat = gl.build_grid(1.0, 6)

@@ -105,51 +105,6 @@ class TestDensityFromControl:
                 assert np.array_equal(got, expected)
 
 
-class TestExponentialDensity:
-    def test_any_finite_control_admissible(self):
-        lat = gl.build_grid(1.0, 4)
-        Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 5.0))
-        assert all(np.all((0 < p) & (p < 1)) for p in Q.up_prob)
-
-    def test_large_controls_round_p_to_one_but_not_to_zero(self):
-        # q sqrt(dt) = 20: exp(-40) is below half an ulp of 1, so p rounds to 1.0;
-        # at -20 p = 1 / (1 + exp(40)), about 4.2e-18, stays in (0, 1)
-        lat = gl.build_grid(1.0, 4)
-        with pytest.raises(gl.AdmissibilityError) as err:
-            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 40.0))
-        assert (err.value.node, err.value.value, err.value.bound) == (gl.NodeId(0, 0), 40.0, 2.0)
-        Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, -40.0))
-        assert all(np.all((0 < p) & (p < 1)) for p in Q.up_prob)
-
-    def test_refusal_names_the_up_probability_not_the_multiplicative_bound(self):
-        # the logistic density takes the control 5 > 1/sqrt(dt) = 2, and refuses 40 because
-        # its up-probability rounds to 1.0
-        lat = gl.build_grid(1.0, 4)
-        gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 5.0))
-        with pytest.raises(gl.AdmissibilityError) as err:
-            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, 40.0))
-        message = str(err.value)
-        assert "node(step=0, index=0)" in message and "sqrt(dt)" not in message
-        assert "up-probability 1.0 is not in (0, 1)" in message
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_exp_is_a_refusal_not_a_warning(self):
-        # exp(-2 q sqrt(dt)) = exp(1000) overflows to inf, so p is 0.0
-        lat = gl.build_grid(1.0, 4)
-        with pytest.raises(gl.AdmissibilityError, match=r"up-probability 0\.0 is not in") as err:
-            gl.exponential_density_from_control(gl.PredictableControl.constant(lat, -1000.0))
-        assert (err.value.node, err.value.value) == (gl.NodeId(0, 0), -1000.0)
-
-    def test_drift_bias_is_tanh(self):
-        lat = gl.build_grid(1.0, 4)
-        q = 0.8
-        Q = gl.exponential_density_from_control(gl.PredictableControl.constant(lat, q))
-        sdt = lat.sqrt_dt
-        drift = float(Q.up_prob[0][0] * sdt - (1 - Q.up_prob[0][0]) * sdt)
-        assert drift == pytest.approx(sdt * math.tanh(q * sdt), abs=1e-15)
-        assert abs(drift - q * lat.dt) <= q**3 * lat.dt**2  # O(dt) relative bias
-
-
 class TestExpectationUnder:
     def test_fair_coin_brownian_is_centred(self, rec8):
         Q = gl.density_from_control(gl.PredictableControl.constant(rec8, 0.0))
@@ -288,23 +243,19 @@ class TestControlSurgery:
             gl.restrict_control(q, [np.ones(2, dtype=bool)] * 8)
 
 
-def stored_up_probabilities(control, exponential):
+def stored_up_probabilities(control):
     """Each step's up-probability array, written out as a stored per-step list."""
     sdt = control.lattice.sqrt_dt
-    if exponential:
-        return [1.0 / (1.0 + np.exp(-2.0 * q * sdt)) for q in control.values]
     return [(1.0 + q * sdt) / 2.0 for q in control.values]
 
 
 class TestUpProbabilitiesPerStep:
     @pytest.mark.parametrize("topology", list(gl.TreeTopology))
-    @pytest.mark.parametrize("exponential", [False, True])
-    def test_up_prob_is_the_stored_list_bitwise(self, topology, exponential):
+    def test_up_prob_is_the_stored_list_bitwise(self, topology):
         lat = gl.build_grid(1.3, 6, topology)
         q = random_control(lat, np.random.default_rng(9), 1.2)
-        build = gl.exponential_density_from_control if exponential else gl.density_from_control
-        Q = build(q)
-        stored = stored_up_probabilities(q, exponential)
+        Q = gl.density_from_control(q)
+        stored = stored_up_probabilities(q)
         assert len(Q.up_prob) == lat.steps
         for got, expected in zip(Q.up_prob, stored, strict=True):
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
@@ -326,14 +277,6 @@ class TestUpProbabilitiesPerStep:
             gl.density_from_control(gl.PredictableControl(lat, values))
         assert err.value.node == gl.NodeId(3, 2)
         assert err.value.value == bad or math.isnan(bad) and math.isnan(err.value.value)
-
-    def test_exponential_refuses_nan_with_its_node(self):
-        lat = gl.build_grid(1.0, 4)
-        values = [np.zeros(k + 1) for k in range(4)]
-        values[1][1] = math.nan
-        with pytest.raises(gl.AdmissibilityError) as err:
-            gl.exponential_density_from_control(gl.PredictableControl(lat, values))
-        assert err.value.node == gl.NodeId(1, 1)
 
 
 def scanned_admissibility(control):
@@ -405,8 +348,7 @@ def first_outside(up_prob):
 class TestOneAdmissibilityRule:
     @settings(deadline=None)
     @given(data=st.data(), topology=st.sampled_from(list(gl.TreeTopology)),
-           build=st.sampled_from([gl.MeasureChange, gl.density_from_control,
-                                  gl.exponential_density_from_control]))
+           build=st.sampled_from([gl.MeasureChange, gl.density_from_control]))
     def test_every_constructor_refuses_as_the_node_scan(self, data, topology, build):
         lat = gl.build_grid(data.draw(st.floats(0.1, 3.0)), data.draw(st.integers(1, 8)),
                             topology)
@@ -423,20 +365,18 @@ class TestOneAdmissibilityRule:
             k = data.draw(st.integers(0, lat.steps - 1))
             values[k][data.draw(st.integers(0, values[k].size - 1))] = data.draw(
                 st.sampled_from(special))
-        with np.errstate(over="ignore"):  # exp(-2 q sqrt(dt)) is inf for a huge negative q
-            if build is gl.MeasureChange:  # `values` are the up-probabilities themselves
-                control, up_prob, args = random_control(lat, rng, 1.0), values, (values,)
-            else:
-                control, args = gl.PredictableControl(lat, values), ()
-                up_prob = stored_up_probabilities(
-                    control, build is gl.exponential_density_from_control)
-            want = first_outside(up_prob)
-            if want is None:
-                Q = build(control, *args)
-                assert all(np.array_equal(got, p) for got, p in zip(Q.up_prob, up_prob))
-                return
-            with pytest.raises(gl.AdmissibilityError) as err:
-                build(control, *args)
+        if build is gl.MeasureChange:  # `values` are the up-probabilities themselves
+            control, up_prob, args = random_control(lat, rng, 1.0), values, (values,)
+        else:
+            control, args = gl.PredictableControl(lat, values), ()
+            up_prob = stored_up_probabilities(control)
+        want = first_outside(up_prob)
+        if want is None:
+            Q = build(control, *args)
+            assert all(np.array_equal(got, p) for got, p in zip(Q.up_prob, up_prob))
+            return
+        with pytest.raises(gl.AdmissibilityError) as err:
+            build(control, *args)
         assert err.value.node == want and err.value.bound == edge
         got, expected = err.value.value, float(control[want.step][want.index])
         assert got == expected or math.isnan(got) and math.isnan(expected)

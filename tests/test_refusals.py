@@ -56,8 +56,6 @@ REFUSALS = [
      ValueError, "needs a convex driver"),
     ("spec_not_a_string", lambda: bind_spec(0.5, DRIVERS, "driver"),
      ValueError, "driver spec must be a string"),
-    ("probe_on_empty_box", lambda: gl.probe_lipschitz(gl.zero(), 0.0),
-     ValueError, "domain_radius must be positive"),
     ("dual_with_empty_domain",
      lambda: gl.dual_utility(gl.PenaltyIntegrand("empty", lambda t, q: np.inf * np.abs(q),
                                                  0.0, False), claim(rec())),
@@ -65,8 +63,6 @@ REFUSALS = [
     ("monotone_utility_levels_out_of_order",
      lambda: gl.monotone_utility_check(quadratic(), claim(rec()), [2.0, 1.0]),
      ValueError, "strictly increasing"),
-    ("node_past_last_step", lambda: rec().validate_node(gl.NodeId(5, 0)),
-     ValueError, "step outside"),
     ("ancestors_on_recombining_tree", lambda: rec().terminal_ancestors(1),
      ValueError, "full binary"),
     ("bounded_values_of_two_steps", lambda: two_step_field(rec()).bounded_values(),
