@@ -71,6 +71,15 @@ class TestProbes:
         assert not report.passed
         assert len(report.failures) == 4
 
+    def test_entropic_constant_is_the_sampled_sup(self):
+        # |g(z) - g(z')| / |z - z'| = gamma |z + z'| / 2 reaches gamma * radius at the edge,
+        # so the declared constant is tight, not loose
+        drv = gl.entropic(1.0, radius=4.0)
+        z0, z1 = sampled_pairs(4.0, seed=0, count=20000)
+        quotients = np.abs(drv(0.0, z0) - drv(0.0, z1)) / np.abs(z0 - z1)
+        assert quotients.max() <= drv.lipschitz
+        assert quotients.max() == pytest.approx(drv.lipschitz, rel=0.02)
+
     def test_positive_homogeneity_of_abs(self):
         drv = gl.abs_scaled(1.3)
         rng = np.random.default_rng(0)

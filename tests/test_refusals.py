@@ -1,5 +1,7 @@
 """Every input refusal of the library, one example each, and the inputs it no longer accepts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ REFUSALS = [
     ("monotone_utility_levels_out_of_order",
      lambda: gl.monotone_utility_check(quadratic(), claim(rec()), [2.0, 1.0]),
      ValueError, "strictly increasing"),
+    ("level_past_last_step", lambda: rec().level_values(5), ValueError, "step 5 outside"),
+    ("abs_with_negative_scale", lambda: gl.abs_scaled(-0.5), ValueError, "nonnegative"),
+    ("entropic_gamma_zero", lambda: gl.entropic(0.0), ValueError, "gamma must be positive"),
+    ("entropic_unbounded_radius", lambda: gl.entropic(1.0, radius=math.inf),
+     ValueError, "finite positive validity radius"),
+    ("interval_without_zero", lambda: gl.interval(0.5, 1.0),
+     ValueError, r"lo <= 0 <= hi, got \[0\.5, 1\.0\]"),
+    ("spec_with_infinite_parameter", lambda: bind_spec("entropic:inf", DRIVERS, "driver"),
+     ValueError, "parameters must be finite"),
+    ("field_step_not_held", lambda: claim(rec())[3], KeyError, "holds steps 4..4, not 3"),
+    ("control_missing_a_step",
+     lambda: gl.PredictableControl(rec(), [np.zeros(k + 1) for k in range(3)]),
+     ValueError, r"step 3: need one array per step 0\.\.3, got 3"),
+    ("control_with_wrong_node_count",
+     lambda: gl.PredictableControl(rec(), [np.zeros(2) for _ in range(4)]),
+     ValueError, "step 0: expected 1 node values"),
+    ("stop_missing_the_horizon",
+     lambda: gl.StoppingTime(rec(), [np.zeros(k + 1, dtype=bool) for k in range(5)]),
+     ValueError, "reach the horizon on every path"),
+    # stopped at step 1 on every path, then not stopped at step 2
+    ("stop_flags_not_absorbing",
+     lambda: gl.StoppingTime(rec(), [np.full(k + 1, k != 2) for k in range(5)]),
+     ValueError, "non-absorbing stop flags between steps 1 and 2"),
     ("ancestors_on_recombining_tree", lambda: rec().terminal_ancestors(1),
      ValueError, "full binary"),
     ("bounded_values_of_two_steps", lambda: two_step_field(rec()).bounded_values(),
