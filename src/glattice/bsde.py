@@ -64,27 +64,27 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
     bit.  A radius breach reports the z handed to the driver and its node (the
     node within its row when claims are stacked on a leading axis).
     """
-    scale = sign * lattice.dt
+    dt, scale = lattice.dt, sign * lattice.dt
     radius = driver.validity_radius if check_radius else np.inf
+    divisor = sign * lattice._two_sqrt_dt  # (up - down) / divisor is sign * z, a zero's sign too
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        z = lattice.increment(down, up)
-        arg = z if sign > 0 else -z
-        # fmax and fmin skip NaN, as the test |z| > radius does
-        if radius < np.inf and (np.fmax.reduce(z, axis=None) > radius
-                                or np.fmin.reduce(z, axis=None) < -radius):
-            flat = int(np.argmax(np.abs(z)))
-            raise ValidityRadiusError(NodeId(k, flat % z.shape[-1]), float(arg.flat[flat]),
-                                      radius)
-        return (up + down) * 0.5 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
+        arg = (up - down) / divisor
+        # fmax skips NaN, as the test |z| > radius does
+        if radius < np.inf and np.fmax.reduce(size := np.abs(arg), axis=None) > radius:
+            flat = int(np.argmax(size))
+            raise ValidityRadiusError(NodeId(k, flat % arg.shape[-1]), float(arg.flat[flat]), radius)
+        return (up + down) * 0.5 + np.asarray(driver(k * dt, arg), dtype=float) * scale
 
     return step
 
 
 def _solution(driver: Driver, terminal: AdaptedField, sign: float) -> BsdeSolution:
     lattice = terminal.lattice
+    # a re-sweep repeats, bit for bit, the arithmetic whose radius the first sweep checked
     ys = _swept_steps(lattice, terminal.start, terminal.bounded_values().copy(),
-                      driver_step(driver, lattice, sign))
+                      driver_step(driver, lattice, sign),
+                      again=driver_step(driver, lattice, sign, check_radius=False))
     return BsdeSolution(y=AdaptedField(lattice, ys, start=0), driver=driver)
 
 

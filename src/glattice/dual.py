@@ -10,7 +10,7 @@ duality-gap check certifies node by node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,10 +38,13 @@ class DualSolution:
     argmin_control: PredictableControl
     clamped: Sequence[np.ndarray]
     integrand: PenaltyIntegrand
+    _tally: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def any_clamped(self) -> bool:
-        return any(bool(np.any(c)) for c in self.clamped)
+        if self._tally is not None:  # clamped nodes a step, counted by `dual_utility`'s sweep
+            return bool(self._tally.any())
+        return any(bool(np.any(c)) for c in self.clamped)  # a solution built by hand
 
 
 def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -127,12 +130,13 @@ def dual_step(integrand: PenaltyIntegrand, lattice: Lattice, record=None):
 def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSolution:
     """Backward min-over-controls recursion for the penalised worst-case value.
 
-    A step of the control or of its clamp flags read is minimised again from
-    u_{k+1}, bitwise the sweep's (q, clamped); beyond the claim it is the
-    zero drift, never clamped.
+    A step of the control read is minimised again from u_{k+1}, bitwise the
+    sweep's q, and is zero beyond the claim.  The sweep tallies each step's
+    clamped nodes: the flags of a step with none read as zeros, unminimised.
     """
     lattice = terminal.lattice
-    step = dual_step(integrand, lattice)
+    tally = np.zeros(lattice.steps, dtype=np.int64)
+    step = dual_step(integrand, lattice, lambda k, q, clamp: np.put(tally, k, np.count_nonzero(clamp)))
     us = [u for _, u in lattice.sweep(terminal.start, terminal.bounded_values().copy(), step)]
     u = AdaptedField(lattice, us[::-1], start=0)
     minimize = _step_minimizer(integrand, lattice)
@@ -144,11 +148,13 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
         return minimize(k, lattice.increment(*lattice.child_values(u[k + 1])))
 
     both = _LazySteps(lattice.steps, minimizer)  # the control and its flags share one minimiser
-    return DualSolution(
-        u=u, argmin_control=PredictableControl(lattice, _LazySteps(lattice.steps,
-                                                                   lambda k: both[k][0])),
-        clamped=_LazySteps(lattice.steps, lambda k: both[k][1]), integrand=integrand,
-    )
+    control = PredictableControl._clipped(lattice, _LazySteps(lattice.steps, lambda k: both[k][0]),
+                                          (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt)
+    flags = _LazySteps(lattice.steps, lambda k: both[k][1] if tally[k]
+                       else np.zeros(lattice.node_count(k), dtype=bool))
+    solution = DualSolution(u=u, argmin_control=control, clamped=flags, integrand=integrand)
+    solution._tally = tally
+    return solution
 
 
 def compare_prices(driver: Driver, integrand: PenaltyIntegrand,

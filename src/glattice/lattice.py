@@ -244,17 +244,18 @@ class _LazySteps(Sequence):
 
 def _swept_steps(lattice: Lattice, top: int, values: np.ndarray,
                  step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-                 bottom: int = 0) -> _LazySteps:
+                 bottom: int = 0, again: Callable | None = None) -> _LazySteps:
     """Steps bottom..top of the backward `Lattice.sweep` from `values` at `top`, checkpointed.
 
     Entry j is step bottom + j.  The sweep runs once here, down to `bottom`,
     so a NaN or a step's own error raises from this call, and keeps step
     `top` and every ⌊√(top - bottom)⌋-th step from `bottom`: O(N^1.5) nodes
     on the recombining tree instead of O(N^2).  A read of any other step
-    sweeps again, with the same `step`, from the kept step above it down to
-    its segment's lowest step, and keeps that segment, swapped as one tuple;
-    so reading every step in either order sweeps once more in all.  Every
-    array it returns is read-only.  `step` must be deterministic.
+    sweeps again, with `again` (default `step`: the same arithmetic, which may
+    skip the sweep's checks), from the kept step above it down to its segment's
+    lowest step, and keeps that segment, swapped as one tuple; so reading every
+    step in either order sweeps once more in all.  Every array it returns is
+    read-only.  `step` must be deterministic.
     """
     stride = max(1, math.isqrt(top - bottom))
     kept = {}
@@ -274,7 +275,7 @@ def _swept_steps(lattice: Lattice, top: int, values: np.ndarray,
         if j not in entries:
             lowest = j - j % stride + 1
             above = min(lowest - 1 + stride, top - bottom)
-            sweep = lattice.sweep(bottom + above, kept[above], step)
+            sweep = lattice.sweep(bottom + above, kept[above], again or step)
             next(sweep)  # the kept step itself
             swept = tuple(v for _, (_, v) in zip(range(lowest, above), sweep))[::-1]
             for v in swept:
@@ -379,12 +380,20 @@ def terminal_field(lattice: Lattice, payoff: Callable[[np.ndarray], np.ndarray] 
 class PredictableControl:
     """One value per step-k node for k = 0..N-1, governing the k -> k+1 transition."""
 
-    __slots__ = ("lattice", "values", "_deterministic")
+    __slots__ = ("lattice", "values", "_deterministic", "_clip")
 
     def __init__(self, lattice: Lattice, values: Sequence[np.ndarray]):
         self.lattice = lattice
         self.values = lattice.per_step(values, 0, lattice.steps - 1)
         self._deterministic = None
+        self._clip = None  # a bound on |q| that holds by construction, else None
+
+    @classmethod
+    def _clipped(cls, lattice: Lattice, values: Sequence, bound: float) -> "PredictableControl":
+        """Wrap per-step values that lie in [-bound, bound] by construction."""
+        control = cls(lattice, values)
+        control._clip = bound
+        return control
 
     def __getitem__(self, step: int) -> np.ndarray:
         return self.values[step]

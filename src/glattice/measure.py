@@ -35,6 +35,11 @@ class AdmissibilityError(ValueError):
         )
 
 
+def _inside(p: np.ndarray) -> bool:
+    """0 < p < 1 at every node: the least and greatest p pass (a NaN fails both)."""
+    return p.min() > 0.0 and p.max() < 1.0
+
+
 class MeasureChange:
     """A measure equivalent to the fair coin, given by per-node up probabilities.
 
@@ -51,7 +56,7 @@ class MeasureChange:
         self.control = control
         self.up_prob = self.lattice.per_step(up_prob, 0, self.lattice.steps - 1)
         for k, p in enumerate(self.up_prob):
-            if not (p.min() > 0.0 and p.max() < 1.0):
+            if not _inside(p):
                 bad = int(np.flatnonzero(~((p > 0.0) & (p < 1.0)))[0])
                 raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
                                          1.0 / self.lattice.sqrt_dt, float(p[bad]))
@@ -91,11 +96,21 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly, which is
     0 < p < 1 for p = (1 + q sqrt(dt))/2; `MeasureChange` raises at the first
     node where p leaves (0, 1) instead of clamping, since clamping would
-    silently change the measure.
+    silently change the measure.  A control clipped to |q| <= b by
+    construction (the dual's) is admitted unscanned when p at q = -b and
+    q = b is: rounding is monotone, so every node's p lies between the two.
     """
     sdt = control.lattice.sqrt_dt
-    return MeasureChange(control, _LazySteps(control.lattice.steps,
-                                             lambda k: (1.0 + control[k] * sdt) * 0.5))
+
+    def up(q):
+        return (1.0 + q * sdt) * 0.5
+
+    up_prob = _LazySteps(control.lattice.steps, lambda k: up(control[k]))
+    if control._clip is None or not _inside(up(np.array([-control._clip, control._clip]))):
+        return MeasureChange(control, up_prob)
+    measure = MeasureChange.__new__(MeasureChange)  # admitted by its bound, unscanned
+    measure.lattice, measure.control, measure.up_prob = control.lattice, control, up_prob
+    return measure
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

@@ -114,6 +114,77 @@ class TestMirroredStep:
             assert np.array_equal(u.z[k], -mirror.z[k])
 
 
+BUILTIN_DRIVERS = {  # one instance of each builtin driver, by its spec name
+    "abs": lambda: gl.abs_scaled(0.5), "entropic": lambda: gl.entropic(1.0),
+    "interval": lambda: gl.interval(-0.4, 0.3), "linear": lambda: gl.linear(0.3),
+    "zero": lambda: gl.zero()}
+
+
+def reference_step(driver, lat, s):
+    """The driver step as its defining formula: y_k = mean + g(t_k, s z) * (s dt)."""
+    def step(k, down, up):
+        z = lat.increment(down, up)
+        return (up + down) * 0.5 + np.asarray(driver(lat.grid.time(k), s * z), dtype=float) * (s * lat.dt)
+
+    return step
+
+
+def reference_breach(driver, lat, sign, k, down, up):
+    """(node, z) a radius breach names, by the expressions of the step with fmax and fmin, or None."""
+    z = lat.increment(down, up)
+    arg = z if sign > 0 else -z
+    radius = driver.validity_radius
+    if np.fmax.reduce(z, axis=None) > radius or np.fmin.reduce(z, axis=None) < -radius:
+        flat = int(np.argmax(np.abs(z)))
+        return gl.NodeId(k, flat % z.shape[-1]), float(arg.flat[flat])
+    return None
+
+
+class TestTrimmedDriverStep:
+    """The step that divides by sign * 2 sqrt(dt) and reads t_k as k * dt is bitwise the formula."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_DRIVERS))
+    @pytest.mark.parametrize("topology", list(gl.TreeTopology))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("rows", [(), (3,)])
+    def test_every_step_is_the_formula(self, name, topology, sign, rows):
+        assert sorted(BUILTIN_DRIVERS) == sorted(gl.drivers._BUILTINS)
+        lat = gl.build_grid(1.3, 6, topology)
+        rng = np.random.default_rng(len(name) + len(rows))
+        claim = rng.uniform(-1.0, 1.0, (*rows, lat.node_count(6)))
+        claim[..., :3] = [0.0, -0.0, -0.0]  # equal children, of either zero sign
+        driver = BUILTIN_DRIVERS[name]()
+        trimmed = lat.sweep(6, claim.copy(), gl.bsde.driver_step(driver, lat, sign))
+        formula = lat.sweep(6, claim.copy(), reference_step(driver, lat, sign))
+        for (k, got), (_, want) in zip(trimmed, formula, strict=True):
+            assert np.array_equal(got, want), k
+            assert got.tobytes() == want.tobytes(), k  # the sign of every zero too
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("rows", [(), (4,)])
+    def test_breach_names_the_node_and_z_of_the_old_expressions(self, sign, rows):
+        lat = gl.build_grid(1.0, 16)
+        driver = gl.entropic(1.0, radius=1.0)
+        step = gl.bsde.driver_step(driver, lat, sign)
+        rng = np.random.default_rng([int(sign > 0), len(rows)])
+        breaches = 0
+        for trial in range(200):
+            down, up = rng.normal(scale=0.1, size=(2, *rows, 9))
+            up[(..., rng.integers(9))] = rng.choice([np.nan, 0.6, -0.6, np.inf])
+            want = reference_breach(driver, lat, sign, trial % 16, down, up)
+            if want is None:
+                with np.errstate(invalid="ignore"):
+                    step(trial % 16, down, up)
+                continue
+            breaches += 1
+            with pytest.raises(gl.bsde.ValidityRadiusError) as err:
+                step(trial % 16, down, up)
+            assert err.value.node == want[0], trial
+            got = err.value.z_value
+            assert got == want[1] or math.isnan(got) and math.isnan(want[1]), trial
+        assert 50 < breaches < 200
+
+
 class TestDerivedIncrements:
     @pytest.mark.parametrize("topology", list(gl.TreeTopology))
     def test_z_is_what_the_driver_was_handed(self, topology):

@@ -81,6 +81,12 @@ class TestDualUtility:
         f = gl.fenchel(gl.entropic(30.0, radius=8.0))
         sol = gl.dual_utility(f, gl.terminal_field(lat, lambda x: x))
         assert sol.any_clamped
+        # a solution built by hand has no sweep tally: any_clamped reads its flags
+        flags = [np.array(c) for c in sol.clamped]
+        by_hand = gl.DualSolution(sol.u, sol.argmin_control, flags, f)
+        assert by_hand.any_clamped
+        by_hand.clamped = [np.zeros_like(c) for c in flags]
+        assert not by_hand.any_clamped
         bound = (1 - 1e-6) / lat.sqrt_dt
         for q, clamped in zip(sol.argmin_control.values[:4], sol.clamped[:4]):
             assert np.all(np.abs(q[clamped]) == pytest.approx(bound, abs=1e-12))

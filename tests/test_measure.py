@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import glattice as gl
 from conftest import random_control
+from test_swept_fields import steep_dual
 
 
 class TestDensityFromControl:
@@ -380,3 +381,29 @@ class TestOneAdmissibilityRule:
         assert err.value.node == want and err.value.bound == edge
         got, expected = err.value.value, float(control[want.step][want.index])
         assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+class TestAdmissibleByConstruction:
+    """The dual's control carries the bound it was clipped to; other controls are scanned."""
+
+    def test_dual_control_is_admitted_without_a_minimiser(self):
+        lat, sol, calls = steep_dual()
+        bound = (1.0 - gl.dual.ADMISSIBILITY_MARGIN) / lat.sqrt_dt
+        calls.clear()
+        Q = gl.density_from_control(sol.argmin_control)
+        assert calls == []  # no step of the control was derived to build the measure
+        assert any(np.any(np.abs(q) == bound) for q in sol.argmin_control.values)
+        for k in range(lat.steps):  # the scan the construction skipped
+            p = Q.up_prob[k]
+            assert np.all((p > 0.0) & (p < 1.0)), k
+
+    def test_derived_controls_are_scanned(self):
+        lat, sol, _ = steep_dual()
+        doubled = gl.PredictableControl(lat, [2 * q for q in sol.argmin_control.values])
+        want = scanned_admissibility(doubled)
+        assert want is not None
+        for control in (doubled, sol.argmin_control.map(lambda k, q: 2 * q)):
+            with pytest.raises(gl.AdmissibilityError) as err:
+                gl.density_from_control(control)
+            assert err.value.node == want
+            assert err.value.value == doubled[want.step][want.index]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glattice as gl
-from glattice.lattice import _LazySteps, node_total
+from glattice import dual
+from glattice.lattice import _LazySteps, _swept_steps, node_total
 from glattice.measure import between_masks
 from conftest import random_control
 from test_one_value_a_step import bits, deterministic_control, node_counting_integrand, per_node_sweep
@@ -144,20 +145,76 @@ class TestDeterministicOnce:
             assert calls == (list(range(lat.steps)) if value is not None else [0, 1])
 
 
+def steep_dual(steps=24):
+    """(lattice, the dual of a claim whose steep integrand clips nodes at the bound,
+    the times its minimiser was called at)."""
+    lat = gl.build_grid(1.0, steps)
+    claim = gl.terminal_field(lat, lambda x: 2.0 * np.sin(3.0 * x) + np.maximum(x, 0.0))
+    calls = []
+    steep = gl.PenaltyIntegrand(
+        "steep", lambda t, q: np.asarray(q, dtype=float) ** 2 / 80.0, np.inf, True,
+        step_minimizer=lambda t, zed: calls.append(t) or -40.0 * np.asarray(zed, dtype=float))
+    return lat, gl.dual_utility(steep, claim), calls
+
+
 class TestClampFlagsOnRead:
     def test_flags_are_minimised_again_and_shared_with_the_control(self):
-        lat = gl.build_grid(1.0, 24)
-        claim = gl.terminal_field(lat, lambda x: 2.0 * np.sin(3.0 * x) + np.maximum(x, 0.0))
-        calls = []
-        steep = gl.PenaltyIntegrand(
-            "steep", lambda t, q: np.asarray(q, dtype=float) ** 2 / 80.0, np.inf, True,
-            step_minimizer=lambda t, zed: calls.append(t) or -40.0 * np.asarray(zed, dtype=float))
-        sol = gl.dual_utility(steep, claim)
+        lat, sol, calls = steep_dual()
+        minimize = dual._step_minimizer(sol.integrand, lat)
+        derived = [minimize(k, lat.increment(*lat.child_values(sol.u[k + 1])))[1]
+                   for k in range(lat.steps)]
+        clamping = [k for k, c in enumerate(derived) if c.any()]
+        assert 0 < len(clamping) < lat.steps  # steps with and without clamped nodes
+        assert np.flatnonzero(sol._tally).tolist() == clamping
         calls.clear()
         flags = list(sol.clamped)
-        assert any(np.any(c) for c in flags)
-        assert len(calls) == lat.steps  # one minimiser a step read; packed flags took none
+        # the sweep's tally is nonzero on exactly these steps, and only they run the minimiser
+        assert calls == [lat.grid.time(k) for k in clamping]
+        for got, want in zip(flags, derived, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        calls.clear()
+        assert sol.any_clamped and not calls  # read off the tally
+        lat, sol, calls = steep_dual()  # a fresh solution: nothing read yet
         calls.clear()
         for k in range(lat.steps):
-            sol.clamped[k], sol.argmin_control[k], sol.clamped[k]
-        assert len(calls) == lat.steps  # the control and its flags at step k: one minimiser
+            before = len(calls)
+            flags, _, again = sol.clamped[k], sol.argmin_control[k], sol.clamped[k]
+            assert len(calls) == before + 1  # the control's run; a clamped step's flags share it
+            assert flags is again
+
+
+class TestResweepStep:
+    def test_reads_sweep_again_with_the_second_step(self):
+        lat = gl.build_grid(1.0, 16)
+        first, again = [], []
+
+        def recording(log):
+            def step(k, down, up):
+                log.append(k)
+                return (down + up) * 0.5 + k
+            return step
+
+        top = gl.terminal_field(lat, np.sin)[16]
+        steps = _swept_steps(lat, 16, top.copy(), recording(first), again=recording(again))
+        plain = _swept_steps(lat, 16, top.copy(), recording([]))
+        assert first == list(range(15, -1, -1)) and again == []
+        for k in range(17):
+            assert np.array_equal(steps[k], plain[k])
+        assert first == list(range(15, -1, -1))  # every re-sweep ran the second step
+        assert sorted(set(again)) == [k for k in range(16) if k % 4]  # all but the kept steps
+
+    def test_utility_resweeps_skip_the_radius_check(self, monkeypatch):
+        lat = gl.build_grid(1.0, 16)
+        claim = gl.terminal_field(lat, np.sin)
+        checked = []
+        made = gl.bsde.driver_step
+
+        def spying(driver, lattice, sign, *, check_radius=True):
+            checked.append(check_radius)
+            return made(driver, lattice, sign, check_radius=check_radius)
+
+        monkeypatch.setattr(gl.bsde, "driver_step", spying)
+        sol = gl.utility_solution(gl.entropic(1.0), claim)
+        assert checked == [True, False]  # the first sweep's step, then the re-sweeps'
+        reference = list(lat.sweep(16, claim[16].copy(), made(gl.entropic(1.0), lat, -1.0)))
+        assert all(np.array_equal(sol.y[k], y) for k, y in reference)
