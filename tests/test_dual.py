@@ -81,12 +81,6 @@ class TestDualUtility:
         f = gl.fenchel(gl.entropic(30.0, radius=8.0))
         sol = gl.dual_utility(f, gl.terminal_field(lat, lambda x: x))
         assert sol.any_clamped
-        # a solution built by hand has no sweep tally: any_clamped reads its flags
-        flags = [np.array(c) for c in sol.clamped]
-        by_hand = gl.DualSolution(sol.u, sol.argmin_control, flags, f)
-        assert by_hand.any_clamped
-        by_hand.clamped = [np.zeros_like(c) for c in flags]
-        assert not by_hand.any_clamped
         bound = (1 - 1e-6) / lat.sqrt_dt
         for q, clamped in zip(sol.argmin_control.values[:4], sol.clamped[:4]):
             assert np.all(np.abs(q[clamped]) == pytest.approx(bound, abs=1e-12))
@@ -106,6 +100,17 @@ class TestDualUtility:
         xi = gl.terminal_field(rec8, np.arange(9.0))
         with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
             gl.dual_utility(nan_minimiser, xi)
+
+    def test_a_solution_built_by_hand_reads_its_flags(self):
+        # no sweep tallied its clamped nodes, so any_clamped reads the flags it was given
+        lat = gl.build_grid(1.0, 4)
+        f = gl.fenchel(gl.entropic(30.0, radius=8.0))
+        sol = gl.dual_utility(f, gl.terminal_field(lat, lambda x: x))
+        flags = [np.array(c) for c in sol.clamped]
+        by_hand = gl.DualSolution(sol.u, sol.argmin_control, flags, f)
+        assert by_hand.any_clamped
+        by_hand.clamped = [np.zeros_like(c) for c in flags]
+        assert not by_hand.any_clamped
 
 
 class TestDualityGap:
