@@ -64,17 +64,16 @@ def driver_step(driver: Driver, lattice: Lattice, sign: float, *, check_radius: 
     bit.  A radius breach reports the z handed to the driver and its node (the
     node within its row when claims are stacked on a leading axis).
     """
-    dt, scale = lattice.dt, sign * lattice.dt
+    scale = sign * lattice.dt
     radius = driver.validity_radius if check_radius else np.inf
-    divisor = sign * lattice._two_sqrt_dt  # (up - down) / divisor is sign * z, a zero's sign too
 
     def step(k: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-        arg = (up - down) / divisor
+        arg = lattice._signed_increment(down, up, sign)
         # fmax skips NaN, as the test |z| > radius does
         if radius < np.inf and np.fmax.reduce(size := np.abs(arg), axis=None) > radius:
             flat = int(np.argmax(size))
             raise ValidityRadiusError(NodeId(k, flat % arg.shape[-1]), float(arg.flat[flat]), radius)
-        return (up + down) * 0.5 + np.asarray(driver(k * dt, arg), dtype=float) * scale
+        return (up + down) * 0.5 + np.asarray(driver(lattice.grid.time(k), arg), dtype=float) * scale
 
     return step
 

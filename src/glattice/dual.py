@@ -10,7 +10,7 @@ duality-gap check certifies node by node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,13 +38,10 @@ class DualSolution:
     argmin_control: PredictableControl
     clamped: Sequence[np.ndarray]
     integrand: PenaltyIntegrand
-    _tally: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def any_clamped(self) -> bool:
-        if self._tally is not None:  # clamped nodes a step, counted by `dual_utility`'s sweep
-            return bool(self._tally.any())
-        return any(bool(np.any(c)) for c in self.clamped)  # a solution built by hand
+        return any(bool(np.any(c)) for c in self.clamped)
 
 
 def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
@@ -73,13 +70,18 @@ def _vector_golden_min(objective, lo: np.ndarray, hi: np.ndarray, tol: float) ->
     return (a + b) / 2.0
 
 
+def _clip_bound(lattice: Lattice) -> float:
+    """The admissibility bound (1 - margin)/sqrt(dt) that every minimiser's q lies within."""
+    return (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt
+
+
 def _step_minimizer(integrand: PenaltyIntegrand, lattice: Lattice):
     """(k, z) -> (q, clamped), q minimising q z + f(t_k, q) over admissible q.
 
     q is the integrand's analytic minimiser clipped to the admissibility bound
     when it has one, else a golden-section search on the admissible interval.
     """
-    bound = (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt
+    bound = _clip_bound(lattice)
     dom = integrand.domain_radius
     if dom == 0.0 and not integrand.zero_at_origin:
         raise ValueError("integrand has empty admissible domain")  # defensive: f(0)=0 rules this out
@@ -149,12 +151,10 @@ def dual_utility(integrand: PenaltyIntegrand, terminal: AdaptedField) -> DualSol
 
     both = _LazySteps(lattice.steps, minimizer)  # the control and its flags share one minimiser
     control = PredictableControl._clipped(lattice, _LazySteps(lattice.steps, lambda k: both[k][0]),
-                                          (1.0 - ADMISSIBILITY_MARGIN) / lattice.sqrt_dt)
+                                          _clip_bound(lattice))
     flags = _LazySteps(lattice.steps, lambda k: both[k][1] if tally[k]
                        else np.zeros(lattice.node_count(k), dtype=bool))
-    solution = DualSolution(u=u, argmin_control=control, clamped=flags, integrand=integrand)
-    solution._tally = tally
-    return solution
+    return DualSolution(u=u, argmin_control=control, clamped=flags, integrand=integrand)
 
 
 def compare_prices(driver: Driver, integrand: PenaltyIntegrand,

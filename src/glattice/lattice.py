@@ -166,6 +166,10 @@ class Lattice:
         """The increment z = (up - down) / (2 sqrt(dt)) of a step, from its (down, up) children."""
         return (up - down) / self._two_sqrt_dt
 
+    def _signed_increment(self, down: np.ndarray, up: np.ndarray, sign: float) -> np.ndarray:
+        """sign * z bit for bit, the sign of a zero included, without a pass that negates z."""
+        return (up - down) / (sign * self._two_sqrt_dt)
+
     def push(self, values: np.ndarray, down, up) -> np.ndarray:
         """Forward map, the transpose of `child_values`: a step-k vector to step k+1.
 
@@ -251,11 +255,10 @@ def _swept_steps(lattice: Lattice, top: int, values: np.ndarray,
     so a NaN or a step's own error raises from this call, and keeps step
     `top` and every ⌊√(top - bottom)⌋-th step from `bottom`: O(N^1.5) nodes
     on the recombining tree instead of O(N^2).  A read of any other step
-    sweeps again, with `again` (default `step`: the same arithmetic, which may
-    skip the sweep's checks), from the kept step above it down to its segment's
-    lowest step, and keeps that segment, swapped as one tuple; so reading every
-    step in either order sweeps once more in all.  Every array it returns is
-    read-only.  `step` must be deterministic.
+    sweeps again, with `again` (default `step`; its arithmetic, checks skipped),
+    from the kept step above it down to its segment's lowest step, and keeps that
+    segment, swapped as one tuple; so reading every step in either order sweeps
+    once more in all.  Every array it returns is read-only.  `step` must be deterministic.
     """
     stride = max(1, math.isqrt(top - bottom))
     kept = {}

@@ -47,6 +47,7 @@ class MeasureChange:
     p_k each time the step is read.  Each step is checked here for its shape
     and for 0 < p < 1: a step passes when its least and greatest p do (a NaN
     fails both), and only a step that fails is scanned for its first bad node.
+    `density_from_control` admits a control clipped by construction by its bound.
     """
 
     __slots__ = ("lattice", "control", "up_prob")
@@ -60,6 +61,13 @@ class MeasureChange:
                 bad = int(np.flatnonzero(~((p > 0.0) & (p < 1.0)))[0])
                 raise AdmissibilityError(NodeId(k, bad), float(control[k][bad]),
                                          1.0 / self.lattice.sqrt_dt, float(p[bad]))
+
+    @classmethod
+    def _trusted(cls, control: PredictableControl, up_prob: Sequence[np.ndarray]) -> "MeasureChange":
+        """Wrap up-probabilities that lie in (0, 1) by construction, unchecked."""
+        measure = cls.__new__(cls)
+        measure.lattice, measure.control, measure.up_prob = control.lattice, control, up_prob
+        return measure
 
     def one_step_expectation(self, step: int, down: np.ndarray, up: np.ndarray) -> np.ndarray:
         """Conditional expectation given the step-k node, from its (down, up) child values."""
@@ -96,9 +104,8 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     no discretisation bias.  Requires |q|*sqrt(dt) < 1 strictly, which is
     0 < p < 1 for p = (1 + q sqrt(dt))/2; `MeasureChange` raises at the first
     node where p leaves (0, 1) instead of clamping, since clamping would
-    silently change the measure.  A control clipped to |q| <= b by
-    construction (the dual's) is admitted unscanned when p at q = -b and
-    q = b is: rounding is monotone, so every node's p lies between the two.
+    silently change the measure.  A control clipped to |q| <= b (the dual's) is
+    admitted unscanned when p at q = -b and q = b is: rounding is monotone.
     """
     sdt = control.lattice.sqrt_dt
 
@@ -108,9 +115,7 @@ def density_from_control(control: PredictableControl) -> MeasureChange:
     up_prob = _LazySteps(control.lattice.steps, lambda k: up(control[k]))
     if control._clip is None or not _inside(up(np.array([-control._clip, control._clip]))):
         return MeasureChange(control, up_prob)
-    measure = MeasureChange.__new__(MeasureChange)  # admitted by its bound, unscanned
-    measure.lattice, measure.control, measure.up_prob = control.lattice, control, up_prob
-    return measure
+    return MeasureChange._trusted(control, up_prob)
 
 
 def expectation_under(measure: MeasureChange, field: AdaptedField, from_step: int) -> AdaptedField:

@@ -101,17 +101,6 @@ class TestDualUtility:
         with pytest.raises(ValueError, match=r"NaN at node\(step=7, index=0\)"):
             gl.dual_utility(nan_minimiser, xi)
 
-    def test_a_solution_built_by_hand_reads_its_flags(self):
-        # no sweep tallied its clamped nodes, so any_clamped reads the flags it was given
-        lat = gl.build_grid(1.0, 4)
-        f = gl.fenchel(gl.entropic(30.0, radius=8.0))
-        sol = gl.dual_utility(f, gl.terminal_field(lat, lambda x: x))
-        flags = [np.array(c) for c in sol.clamped]
-        by_hand = gl.DualSolution(sol.u, sol.argmin_control, flags, f)
-        assert by_hand.any_clamped
-        by_hand.clamped = [np.zeros_like(c) for c in flags]
-        assert not by_hand.any_clamped
-
 
 class TestDualityGap:
     @pytest.mark.parametrize("steps", [16, 256])

@@ -388,7 +388,8 @@ class TestAdmissibleByConstruction:
 
     def test_dual_control_is_admitted_without_a_minimiser(self):
         lat, sol, calls = steep_dual()
-        bound = (1.0 - gl.dual.ADMISSIBILITY_MARGIN) / lat.sqrt_dt
+        bound = gl.dual._clip_bound(lat)
+        assert sol.argmin_control._clip == bound  # the bound the minimiser clips to
         calls.clear()
         Q = gl.density_from_control(sol.argmin_control)
         assert calls == []  # no step of the control was derived to build the measure

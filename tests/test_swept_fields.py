@@ -165,16 +165,17 @@ class TestClampFlagsOnRead:
                    for k in range(lat.steps)]
         clamping = [k for k, c in enumerate(derived) if c.any()]
         assert 0 < len(clamping) < lat.steps  # steps with and without clamped nodes
-        assert np.flatnonzero(sol._tally).tolist() == clamping
         calls.clear()
         flags = list(sol.clamped)
         # the sweep's tally is nonzero on exactly these steps, and only they run the minimiser
         assert calls == [lat.grid.time(k) for k in clamping]
         for got, want in zip(flags, derived, strict=True):
             assert got.dtype == want.dtype and np.array_equal(got, want)
-        calls.clear()
-        assert sol.any_clamped and not calls  # read off the tally
         lat, sol, calls = steep_dual()  # a fresh solution: nothing read yet
+        calls.clear()
+        assert sol.any_clamped  # stops at the first step that clamped, its one minimiser run
+        assert calls == [lat.grid.time(clamping[0])]
+        lat, sol, calls = steep_dual()
         calls.clear()
         for k in range(lat.steps):
             before = len(calls)
