@@ -141,7 +141,7 @@ def reference_breach(driver, lat, sign, k, down, up):
 
 
 class TestTrimmedDriverStep:
-    """The step that divides by sign * 2 sqrt(dt) and reads t_k as k * dt is bitwise the formula."""
+    """The step that divides by sign * 2 sqrt(dt), with no negation pass, is bitwise the formula."""
 
     @pytest.mark.parametrize("name", sorted(BUILTIN_DRIVERS))
     @pytest.mark.parametrize("topology", list(gl.TreeTopology))
